@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "health/flight_recorder.hpp"
-#include "hostpool/hostpool.hpp"
 #include "health/monitor.hpp"
 #include "prof/prof.hpp"
 #include "runtime/scenario.hpp"
@@ -191,10 +190,7 @@ inline void write_bench_json(const std::string& name, const std::vector<BenchRow
         }
     }
     out += "]";
-    if (prof::Profiler* profiler = prof::Profiler::active(); profiler != nullptr) {
-        if (hostpool::HostPool* pool = hostpool::HostPool::active(); pool != nullptr) {
-            pool->flush_prof(*profiler);
-        }
+    if (const prof::Profiler* profiler = prof::Profiler::active(); profiler != nullptr) {
         out += ",\"host\":" + profiler->snapshot().json();
     }
     out += "}\n";
@@ -239,17 +235,8 @@ inline void print_footnote(const std::string& text) { std::printf("%s\n", text.c
 /// bench, including scenario construction, is then attributed.
 class HostProfiler {
 public:
-    HostProfiler() : pool_(hostpool::HostPool::threads_from_env()) {
-        prof::Profiler::set_active(&profiler_);
-        // Every bench honors ZC_HOST_THREADS: the perf-regression CI job
-        // A/B's threads=1 vs threads=4 on the same binary. Virtual rows
-        // are byte-identical either way; only the host block moves.
-        hostpool::HostPool::set_active(&pool_);
-    }
-    ~HostProfiler() {
-        hostpool::HostPool::set_active(nullptr);
-        prof::Profiler::set_active(nullptr);
-    }
+    HostProfiler() { prof::Profiler::set_active(&profiler_); }
+    ~HostProfiler() { prof::Profiler::set_active(nullptr); }
     HostProfiler(const HostProfiler&) = delete;
     HostProfiler& operator=(const HostProfiler&) = delete;
 
@@ -257,7 +244,6 @@ public:
 
 private:
     prof::Profiler profiler_;
-    hostpool::HostPool pool_;
 };
 
 /// Default experiment base: the paper's testbed parameters.

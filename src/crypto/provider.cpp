@@ -63,36 +63,18 @@ bool FastProvider::verify(const PublicKey& pub, BytesView message, const Signatu
 }
 
 bool CountingProvider::verify(const PublicKey& pub, BytesView message, const Signature& sig) {
-    calls_.fetch_add(1, std::memory_order_relaxed);
-    note(pub, message, sig);
-    return inner_.verify(pub, message, sig);
-}
-
-void CountingProvider::verify_batch(VerifyJob* jobs, std::size_t count) {
-    calls_.fetch_add(count, std::memory_order_relaxed);
-    for (std::size_t i = 0; i < count; ++i) note(*jobs[i].pub, jobs[i].message, *jobs[i].sig);
-    inner_.verify_batch(jobs, count);
-}
-
-void CountingProvider::note(const PublicKey& pub, BytesView message, const Signature& sig) {
+    ++calls_;
     Sha256 h;
     h.update(pub.v.data(), pub.v.size());
     h.update(sig.v.data(), sig.v.size());
     h.update(message);
-    const Digest key = h.finalize();
-    std::lock_guard<std::mutex> lock(mu_);
-    seen_.insert(key);
-}
-
-std::uint64_t CountingProvider::unique() const noexcept {
-    std::lock_guard<std::mutex> lock(mu_);
-    return seen_.size();
+    seen_.insert(h.finalize());
+    return inner_.verify(pub, message, sig);
 }
 
 void CountingProvider::reset() {
-    calls_.store(0, std::memory_order_relaxed);
-    signs_.store(0, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(mu_);
+    calls_ = 0;
+    signs_ = 0;
     seen_.clear();
 }
 

@@ -76,35 +76,31 @@ Digest verify_cache_key(const char* provider_name, const PublicKey& pub, BytesVi
 
 bool VerifyCache::lookup(const Digest& key, bool& ok) const noexcept {
     if (!enabled_) return false;
-    const Shard& s = shard_of(key);
-    std::lock_guard<std::mutex> lock(s.mu);
-    const Slot& slot = s.slots[slot_of(key)];
+    const Slot& slot = slots_[slot_of(key)];
     if (!slot.used || slot.key != key) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
+        ++misses_;
         return false;
     }
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    ++hits_;
     ok = slot.ok;
     return true;
 }
 
 void VerifyCache::insert(const Digest& key, bool ok) {
     if (!enabled_) return;
-    Shard& s = shard_of(key);
-    std::lock_guard<std::mutex> lock(s.mu);
-    Slot& slot = s.slots[slot_of(key)];
+    Slot& slot = slots_[slot_of(key)];
     if (slot.used && slot.key == key) return;
     slot.key = key;
     slot.ok = ok;
     slot.used = true;
-    inserts_.fetch_add(1, std::memory_order_relaxed);
+    ++inserts_;
 }
 
 void VerifyCache::clear() {
-    for (Shard& s : *shards_) {
-        std::lock_guard<std::mutex> lock(s.mu);
-        for (Slot& slot : s.slots) slot.used = false;
-    }
+    for (Slot& slot : slots_) slot.used = false;
+    hits_ = 0;
+    misses_ = 0;
+    inserts_ = 0;
 }
 
 VerifyCache& global_verify_cache() noexcept {

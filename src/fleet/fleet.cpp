@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "common/log.hpp"
-#include "hostpool/hostpool.hpp"
 #include "prof/prof.hpp"
 #include "runtime/validate.hpp"
 
@@ -20,8 +19,6 @@ Fleet::Fleet(FleetConfig config)
     if (config_.trains == 0) throw std::invalid_argument("fleet needs at least one train");
     build();
 }
-
-Fleet::~Fleet() { hostpool::drain_active(); }
 
 void Fleet::build() {
     ZC_PROF_SCOPE(kSetup);

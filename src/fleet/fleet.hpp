@@ -156,7 +156,6 @@ struct FleetReport {
 class Fleet {
 public:
     explicit Fleet(FleetConfig config);
-    ~Fleet();
 
     Fleet(const Fleet&) = delete;
     Fleet& operator=(const Fleet&) = delete;

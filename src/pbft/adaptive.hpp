@@ -13,7 +13,7 @@
 // with exponential backoff across consecutive failed attempts, capped.
 // All arithmetic is integer nanoseconds on virtual time — no wall clock,
 // no floating point in the update path — so same-seed runs stay
-// byte-identical at any --threads value.
+// byte-identical.
 #pragma once
 
 #include <algorithm>

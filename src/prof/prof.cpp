@@ -93,13 +93,6 @@ void Profiler::add_sim_progress(std::int64_t virtual_ns, std::uint64_t wall_ns) 
     sim_wall_ns_ += wall_ns;
 }
 
-void Profiler::add_external(Subsystem s, std::uint64_t ns, std::uint64_t count) noexcept {
-    Counters& c = by_[static_cast<unsigned>(s)];
-    c.self_ns += ns;
-    c.total_ns += ns;
-    c.count += count;
-}
-
 std::uint64_t Profiler::total_ns(Subsystem s) const noexcept {
     return by_[static_cast<unsigned>(s)].total_ns;
 }

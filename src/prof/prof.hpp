@@ -23,13 +23,6 @@
 // counts as codec, not twice). The scope stack is fixed-size and the
 // counters are plain arrays — begin/end is two clock reads and a few
 // adds.
-//
-// Threading model: each Profiler instance belongs to one thread (the
-// solo/event-loop thread) and the active pointer is thread_local, so
-// host-pool workers executing instrumented code see scopes as disabled.
-// Worker-side cost is collected by the pool itself and folded in through
-// add_external(kPoolRun, ..) from the owning thread; the solo thread's
-// blocking claims show up as kPoolWait scopes.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +46,11 @@ enum class Subsystem : std::uint8_t {
     kDcIngest,      ///< data-center ingest jobs (export/DC frontend)
     kDcSync,        ///< DC-to-DC sync message handling
     kAudit,         ///< SafetyAuditor passes
-    kPoolWait,      ///< solo thread blocked claiming an in-flight pool task
-    kPoolRun,       ///< prologue work executed on host-pool workers
+    // Always zero: the simulator runs on a single host thread, so no
+    // scope is ever attributed here. Kept, with their pool_wait/pool_run
+    // names, because the e2e benchmark reads both buckets.
+    kPoolWait,
+    kPoolRun,
 };
 
 inline constexpr unsigned kSubsystemCount = static_cast<unsigned>(Subsystem::kPoolRun) + 1;
@@ -77,13 +73,8 @@ public:
     Profiler& operator=(const Profiler&) = delete;
     ~Profiler();
 
-    /// The active profiler of the *calling thread*. ZC_PROF_SCOPE
-    /// instrumentation points read this pointer; null (the default)
-    /// disables them all. Thread-local so host-pool workers executing
-    /// instrumented code (codec decode, provider verify) see no profiler
-    /// and never race on the solo thread's counters — their time is
-    /// accounted separately via add_external(kPoolRun, ..) flushed from
-    /// the solo thread.
+    /// The active profiler. ZC_PROF_SCOPE instrumentation points read
+    /// this pointer; null (the default) disables them all.
     static Profiler* active() noexcept { return g_active; }
     static void set_active(Profiler* p) noexcept { g_active = p; }
 
@@ -97,15 +88,6 @@ public:
     /// `virtual_ns` of simulated time advanced over `wall_ns` of host
     /// time. sim_rate() is their ratio.
     void add_sim_progress(std::int64_t virtual_ns, std::uint64_t wall_ns) noexcept;
-
-    /// Folds externally measured time into a bucket (self == total; no
-    /// scope nesting). Used by the host pool to flush worker-side
-    /// nanoseconds into kPoolRun from the solo thread before a snapshot.
-    /// Worker time is deliberately NOT part of any scope stack: it
-    /// overlaps the solo thread's wall clock, so sim_rate (which divides
-    /// by solo wall time only) never counts pool idle or pool overlap as
-    /// progress.
-    void add_external(Subsystem s, std::uint64_t ns, std::uint64_t count) noexcept;
 
     std::uint64_t clock_now() const noexcept { return clock_(); }
 
@@ -171,7 +153,7 @@ private:
 
     static std::uint64_t steady_ns() noexcept;
 
-    inline static thread_local Profiler* g_active = nullptr;
+    inline static Profiler* g_active = nullptr;
 
     ClockFn clock_;
     std::uint64_t born_;

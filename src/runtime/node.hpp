@@ -20,7 +20,6 @@
 #include "export/server.hpp"
 #include "faults/adversary.hpp"
 #include "faults/auditor.hpp"
-#include "hostpool/prologue.hpp"
 #include "metrics/stats.hpp"
 #include "net/network.hpp"
 #include "pbft/replica.hpp"
@@ -180,7 +179,9 @@ private:
     /// replica for a rejoin (0/0 on first boot).
     void build_stack(View start_view, SeqNo start_seq);
 
-    void dispatch(net::EndpointId from, const hostpool::DecodedMessage& decoded);
+    /// Decodes one inbound envelope and its channel payload, then hands it
+    /// to the replica, layer or export server.
+    void dispatch(net::EndpointId from, BytesView raw);
     void process_telegram(std::uint32_t source, const bus::Telegram& telegram);
     void maybe_fabricate(const bus::Telegram& telegram);
     void maybe_duplicate();

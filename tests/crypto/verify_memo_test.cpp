@@ -66,6 +66,10 @@ TEST_F(VerifyMemoTest, NegativeVerdictIsMemoizedToo) {
     EXPECT_FALSE(ctx.verify(1, BytesView{message}, bad));
     EXPECT_FALSE(ctx.verify(1, BytesView{message}, bad));
     EXPECT_EQ(provider.calls(), 1u);
+    // With the memo gone the host cache still answers the failure.
+    ctx.reset_memo();
+    EXPECT_FALSE(ctx.verify(1, BytesView{message}, bad));
+    EXPECT_EQ(provider.calls(), 1u);
 }
 
 TEST_F(VerifyMemoTest, UnknownSignerFailsAtFullCostWithoutProviderCall) {
@@ -207,6 +211,9 @@ TEST(VerifyCache, LookupInsertCountersAndDisable) {
     EXPECT_FALSE(cache.lookup(k2, ok)) << "disabled inserts are dropped";
 
     cache.clear();
+    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.misses(), 0u);
+    EXPECT_EQ(cache.inserts(), 0u);
     EXPECT_FALSE(cache.lookup(k, ok));
 }
 
@@ -224,15 +231,10 @@ TEST(CountingProvider, CountsCallsSignsAndUniqueTriples) {
     EXPECT_EQ(counting.calls(), 2u);
     EXPECT_EQ(counting.unique(), 1u) << "same triple twice is one unique verification";
 
-    VerifyJob jobs[2];
     Signature bad = sig;
     bad.v[0] ^= 1;
-    jobs[0] = VerifyJob{&key.pub, BytesView{msg}, &sig, false};
-    jobs[1] = VerifyJob{&key.pub, BytesView{msg}, &bad, false};
-    counting.verify_batch(jobs, 2);
-    EXPECT_TRUE(jobs[0].ok);
-    EXPECT_FALSE(jobs[1].ok);
-    EXPECT_EQ(counting.calls(), 4u);
+    EXPECT_FALSE(counting.verify(key.pub, BytesView{msg}, bad));
+    EXPECT_EQ(counting.calls(), 3u);
     EXPECT_EQ(counting.unique(), 2u);
 
     counting.reset();

@@ -97,7 +97,6 @@
 #include "health/monitor.hpp"
 #include "health/timeseries.hpp"
 #include "prof/prof.hpp"
-#include "hostpool/hostpool.hpp"
 #include "runtime/scenario.hpp"
 #include "trace/trace.hpp"
 
@@ -128,11 +127,6 @@ struct Args {
     /// mixed, compiled by fleet::compile_gray onto the fault schedules.
     std::string gray;
     double gray_limp = 0.0;  // 0 = profile default
-
-    /// Host threads for the prologue pool (including the solo thread);
-    /// flag beats ZC_HOST_THREADS beats 1. Same-seed outputs are
-    /// byte-identical for any value — CI cmp's --threads 1 vs 8.
-    int threads = 0;  // 0 = not set on the command line
 
     // Fleet mode (--fleet N > 0 switches from the single-consist scenario
     // to the src/fleet orchestrator).
@@ -165,7 +159,6 @@ struct Args {
                      "          [--gray-limp FACTOR] [--fixed-timeouts]\n"
                      "          [--store-dir DIR] [--crypto fast|ed25519]\n"
                      "          [--trace FILE] [--metrics FILE] [--json] [--prof]\n"
-                     "          [--threads N]\n"
                      "          [--health FILE] [--timeseries FILE] [--fail-on-alarm]\n"
                      "          [--fleet N] [--fleet-dcs N] [--fleet-chaos]\n"
                      "          [--export-period-s S] [--trains-per-cell N]\n"
@@ -354,12 +347,6 @@ struct Args {
                 args.json = true;
             } else if (flag == "--prof") {
                 args.prof = true;
-            } else if (flag == "--threads") {
-                args.threads = std::atoi(need_value(i));
-                if (args.threads < 1 || args.threads > 64) {
-                    std::fprintf(stderr, "%s: --threads must be in [1, 64]\n", argv[0]);
-                    usage(argv[0]);
-                }
             } else {
                 std::fprintf(stderr, "%s: unknown flag: %s\n", argv[0], flag.c_str());
                 usage(argv[0]);
@@ -426,14 +413,6 @@ void write_text_file(const std::string& path, const std::string& content) {
         std::exit(1);
     }
     out.write(content.data(), static_cast<std::streamsize>(content.size()));
-}
-
-/// Folds worker-side pool time into the active profiler's pool_run
-/// bucket so snapshots include it (no-op without --prof or a pool).
-void flush_pool_prof() {
-    prof::Profiler* p = prof::Profiler::active();
-    hostpool::HostPool* pool = hostpool::HostPool::active();
-    if (p != nullptr && pool != nullptr) pool->flush_prof(*p);
 }
 
 /// Soak mode: simulated days in segments, invariants re-checked at every
@@ -523,7 +502,6 @@ int run_fleet(const Args& args) {
 
     fleet::Fleet fleet(cfg);
     fleet.run();
-    flush_pool_prof();
     const prof::Profiler* profiler = prof::Profiler::active();
     const fleet::FleetReport report = fleet.report();
 
@@ -681,14 +659,6 @@ int main(int argc, char** argv) {
     prof::Profiler profiler;
     if (args.prof) prof::Profiler::set_active(&profiler);
 
-    // Host prologue pool: created before any scenario so every shard's
-    // deliveries fan their decode/verify prologues onto it. Outputs are
-    // byte-identical for any thread count (see src/hostpool).
-    const int threads =
-        args.threads > 0 ? args.threads : hostpool::HostPool::threads_from_env();
-    hostpool::HostPool pool(threads);
-    hostpool::HostPool::set_active(&pool);
-
     if (args.soak_hours > 0) {
         if (args.audit_liveness || !args.gray.empty()) {
             std::fprintf(stderr,
@@ -780,7 +750,6 @@ int main(int argc, char** argv) {
     if (args.cfg.dc_count > 0) scenario.run_for(seconds(60));
     if (args.audit) scenario.run_audit();  // final end-of-run pass
     if (args.audit_liveness) liveness.finish(scenario.sim().now());
-    flush_pool_prof();
 
     const runtime::ScenarioReport r = scenario.report();
 
