@@ -8,6 +8,7 @@
 #include "micro_util.hpp"
 
 #include "common/rng.hpp"
+#include "crypto/detail/sha256_kernel.hpp"
 #include "crypto/ed25519.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/provider.hpp"
@@ -23,14 +24,17 @@ Bytes make_input(std::size_t n) {
     return rng.bytes(n);
 }
 
+// SHA-256 rows carry the active compression kernel ("sha-ni" or
+// "portable") as their label; 8192 B is the consist_bulk telegram size.
 void BM_Sha256(benchmark::State& state) {
     const Bytes input = make_input(static_cast<std::size_t>(state.range(0)));
     for (auto _ : state) {
         benchmark::DoNotOptimize(crypto::sha256(input));
     }
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+    state.SetLabel(crypto::detail::sha256_kernel_name());
 }
-BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_Sha256)->Arg(64)->Arg(1024)->Arg(8192)->Arg(65536);
 
 void BM_Sha512(benchmark::State& state) {
     const Bytes input = make_input(static_cast<std::size_t>(state.range(0)));
@@ -48,8 +52,9 @@ void BM_HmacSha256(benchmark::State& state) {
         benchmark::DoNotOptimize(crypto::hmac_sha256(key, input));
     }
     state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+    state.SetLabel(crypto::detail::sha256_kernel_name());
 }
-BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(1024);
+BENCHMARK(BM_HmacSha256)->Arg(64)->Arg(1024)->Arg(8192);
 
 void BM_Ed25519KeyGen(benchmark::State& state) {
     Rng rng(7);

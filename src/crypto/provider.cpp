@@ -39,10 +39,10 @@ Signature FastProvider::compute(const std::array<std::uint8_t, 32>& seed,
                                 BytesView message) const {
     const Digest mac = hmac_sha256(BytesView{seed.data(), seed.size()}, message);
     // Second half binds a domain-separated copy so the signature is 64 bytes
-    // like Ed25519 and on-wire sizes match exactly.
-    Bytes second_input(mac.begin(), mac.end());
-    append(second_input, to_bytes("ext"));
-    const Digest mac2 = sha256(second_input);
+    // like Ed25519 and on-wire sizes match exactly: SHA256(mac || "ext").
+    static constexpr std::uint8_t kExt[] = {'e', 'x', 't'};
+    const Digest mac2 =
+        Sha256().update(mac.data(), mac.size()).update(kExt, sizeof kExt).finalize();
 
     Signature sig;
     std::memcpy(sig.v.data(), mac.data(), 32);

@@ -3,11 +3,19 @@
 #include <bit>
 #include <cstring>
 
+#include "crypto/detail/sha256_kernel.hpp"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define ZC_SHA256_SHANI 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 namespace zc::crypto {
 
 namespace {
 
-constexpr std::uint32_t kK[64] = {
+alignas(16) constexpr std::uint32_t kK[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
     0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
     0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
@@ -31,7 +39,139 @@ void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
     p[3] = static_cast<std::uint8_t>(v);
 }
 
+#ifdef ZC_SHA256_SHANI
+
+// The state is kept as the two lanes sha256rnds2 works on: ABEF and CDGH.
+// Each of the 16 steps runs four rounds on one message quad; from the
+// fifth step on, the quad is scheduled from the four before it.
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_shani(
+    std::uint32_t* state, const std::uint8_t* blocks, std::size_t nblocks) noexcept {
+    const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+
+    __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+    __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+    const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+    const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+    __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+    __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+    for (; nblocks > 0; --nblocks, blocks += 64) {
+        const __m128i abef_in = abef;
+        const __m128i cdgh_in = cdgh;
+        __m128i w[4];
+        for (int i = 0; i < 4; ++i) {
+            w[i] = _mm_shuffle_epi8(
+                _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)), bswap);
+        }
+#pragma GCC unroll 16
+        for (int i = 0; i < 16; ++i) {
+            if (i >= 4) {
+                // w[i&3] holds quad i-4; the others hold i-3, i-2, i-1.
+                const __m128i prev = w[(i + 3) & 3];
+                const __m128i s0 = _mm_sha256msg1_epu32(w[i & 3], w[(i + 1) & 3]);
+                const __m128i w7 = _mm_alignr_epi8(prev, w[(i + 2) & 3], 4);
+                w[i & 3] = _mm_sha256msg2_epu32(_mm_add_epi32(s0, w7), prev);
+            }
+            __m128i wk = _mm_add_epi32(
+                w[i & 3], _mm_load_si128(reinterpret_cast<const __m128i*>(kK + 4 * i)));
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            wk = _mm_shuffle_epi32(wk, 0x0e);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+
+    const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+    const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+    dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+    hgfe = _mm_alignr_epi8(dchg, feba, 8);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state), dcba);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), hgfe);
+}
+
+bool cpu_has_shani() noexcept {
+    unsigned a = 0, b = 0, c = 0, d = 0;
+    if (__get_cpuid(1, &a, &b, &c, &d) == 0) return false;
+    const bool ssse3 = (c & (1u << 9)) != 0;
+    const bool sse41 = (c & (1u << 19)) != 0;
+    if (__get_cpuid_count(7, 0, &a, &b, &c, &d) == 0) return false;
+    const bool sha = (b & (1u << 29)) != 0;
+    return sha && ssse3 && sse41;
+}
+
+#endif  // ZC_SHA256_SHANI
+
 }  // namespace
+
+namespace detail {
+
+void sha256_compress_portable(std::uint32_t* state, const std::uint8_t* blocks,
+                              std::size_t nblocks) noexcept {
+    for (; nblocks > 0; --nblocks, blocks += 64) {
+        std::uint32_t w[64];
+        for (int i = 0; i < 16; ++i) w[i] = load_be32(blocks + 4 * i);
+        for (int i = 16; i < 64; ++i) {
+            const std::uint32_t s0 =
+                std::rotr(w[i - 15], 7) ^ std::rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+            const std::uint32_t s1 =
+                std::rotr(w[i - 2], 17) ^ std::rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+        }
+
+        std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+        std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+        for (int i = 0; i < 64; ++i) {
+            const std::uint32_t s1 = std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
+            const std::uint32_t ch = (e & f) ^ (~e & g);
+            const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+            const std::uint32_t s0 = std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
+            const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+            const std::uint32_t temp2 = s0 + maj;
+            h = g;
+            g = f;
+            f = e;
+            e = d + temp1;
+            d = c;
+            c = b;
+            b = a;
+            a = temp1 + temp2;
+        }
+
+        state[0] += a;
+        state[1] += b;
+        state[2] += c;
+        state[3] += d;
+        state[4] += e;
+        state[5] += f;
+        state[6] += g;
+        state[7] += h;
+    }
+}
+
+Sha256Compress sha256_shani_kernel() noexcept {
+#ifdef ZC_SHA256_SHANI
+    static const Sha256Compress kernel = cpu_has_shani() ? &compress_shani : nullptr;
+    return kernel;
+#else
+    return nullptr;
+#endif
+}
+
+Sha256Compress sha256_active_kernel() noexcept {
+    static const Sha256Compress kernel = [] {
+        const Sha256Compress shani = sha256_shani_kernel();
+        return shani != nullptr ? shani : &sha256_compress_portable;
+    }();
+    return kernel;
+}
+
+const char* sha256_kernel_name() noexcept {
+    return sha256_active_kernel() == &sha256_compress_portable ? "portable" : "sha-ni";
+}
+
+}  // namespace detail
 
 Sha256::Sha256() noexcept {
     state_[0] = 0x6a09e667;
@@ -44,48 +184,9 @@ Sha256::Sha256() noexcept {
     state_[7] = 0x5be0cd19;
 }
 
-void Sha256::process_block(const std::uint8_t* block) noexcept {
-    std::uint32_t w[64];
-    for (int i = 0; i < 16; ++i) w[i] = load_be32(block + 4 * i);
-    for (int i = 16; i < 64; ++i) {
-        const std::uint32_t s0 =
-            std::rotr(w[i - 15], 7) ^ std::rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-        const std::uint32_t s1 =
-            std::rotr(w[i - 2], 17) ^ std::rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-        w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-    }
-
-    std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-    std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-    for (int i = 0; i < 64; ++i) {
-        const std::uint32_t s1 = std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
-        const std::uint32_t ch = (e & f) ^ (~e & g);
-        const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-        const std::uint32_t s0 = std::rotr(a, 2) ^ std::rotr(a, 13) ^ std::rotr(a, 22);
-        const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-        const std::uint32_t temp2 = s0 + maj;
-        h = g;
-        g = f;
-        f = e;
-        e = d + temp1;
-        d = c;
-        c = b;
-        b = a;
-        a = temp1 + temp2;
-    }
-
-    state_[0] += a;
-    state_[1] += b;
-    state_[2] += c;
-    state_[3] += d;
-    state_[4] += e;
-    state_[5] += f;
-    state_[6] += g;
-    state_[7] += h;
-}
-
 Sha256& Sha256::update(const void* data, std::size_t len) noexcept {
+    if (len == 0) return *this;  // an empty view may carry a null pointer: no memcpy from it
+    const detail::Sha256Compress compress = detail::sha256_active_kernel();
     const auto* p = static_cast<const std::uint8_t*>(data);
     total_len_ += len;
     if (buffer_len_ > 0) {
@@ -95,14 +196,15 @@ Sha256& Sha256::update(const void* data, std::size_t len) noexcept {
         p += take;
         len -= take;
         if (buffer_len_ == sizeof(buffer_)) {
-            process_block(buffer_);
+            compress(state_, buffer_, 1);
             buffer_len_ = 0;
         }
     }
-    while (len >= sizeof(buffer_)) {
-        process_block(p);
-        p += sizeof(buffer_);
-        len -= sizeof(buffer_);
+    if (len >= sizeof(buffer_)) {
+        const std::size_t nblocks = len / sizeof(buffer_);
+        compress(state_, p, nblocks);
+        p += nblocks * sizeof(buffer_);
+        len -= nblocks * sizeof(buffer_);
     }
     if (len > 0) {
         std::memcpy(buffer_, p, len);
@@ -114,14 +216,22 @@ Sha256& Sha256::update(const void* data, std::size_t len) noexcept {
 Sha256& Sha256::update(BytesView data) noexcept { return update(data.data(), data.size()); }
 
 Digest Sha256::finalize() noexcept {
+    const detail::Sha256Compress compress = detail::sha256_active_kernel();
     const std::uint64_t bit_len = total_len_ * 8;
-    const std::uint8_t pad = 0x80;
-    update(&pad, 1);
-    const std::uint8_t zero = 0;
-    while (buffer_len_ != 56) update(&zero, 1);
-    std::uint8_t len_be[8];
-    for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-    update(len_be, 8);
+    // Padding: 0x80, zeros, then the 64-bit big-endian bit length in the
+    // last 8 bytes of a block. With fewer than 9 bytes free after the
+    // data, the padding spills into one more block.
+    buffer_[buffer_len_++] = 0x80;
+    if (buffer_len_ > sizeof(buffer_) - 8) {
+        std::memset(buffer_ + buffer_len_, 0, sizeof(buffer_) - buffer_len_);
+        compress(state_, buffer_, 1);
+        buffer_len_ = 0;
+    }
+    std::memset(buffer_ + buffer_len_, 0, sizeof(buffer_) - 8 - buffer_len_);
+    for (int i = 0; i < 8; ++i) {
+        buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    }
+    compress(state_, buffer_, 1);
 
     Digest out;
     for (int i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, state_[i]);

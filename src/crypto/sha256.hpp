@@ -1,5 +1,7 @@
 // SHA-256 (FIPS 180-4), implemented from scratch. Validated against the
-// standard test vectors in tests/crypto/sha_test.cpp.
+// standard test vectors in tests/crypto/sha_test.cpp. The compression
+// function runs on the CPU's SHA instructions where the host has them
+// (crypto/detail/sha256_kernel.hpp).
 #pragma once
 
 #include <cstdint>
@@ -22,8 +24,6 @@ public:
     Digest finalize() noexcept;
 
 private:
-    void process_block(const std::uint8_t* block) noexcept;
-
     std::uint32_t state_[8];
     std::uint64_t total_len_ = 0;
     std::uint8_t buffer_[64];

@@ -94,6 +94,7 @@ void Sha512::process_block(const std::uint8_t* block) noexcept {
 }
 
 Sha512& Sha512::update(const void* data, std::size_t len) noexcept {
+    if (len == 0) return *this;  // an empty view may carry a null pointer: no memcpy from it
     const auto* p = static_cast<const std::uint8_t*>(data);
     total_len_ += len;
     if (buffer_len_ > 0) {

@@ -130,7 +130,8 @@ const pbft::PrePrepare* Adversary::equivocation_variant(const pbft::PrePrepare& 
         if (rng_.chance(config_.equivocate_rate)) {
             pbft::PrePrepare forged = pp;
             forged.requests = {forge_request()};
-            forged.req_digest = pbft::PrePrepare::batch_digest(forged.requests);
+            forged.req_digest =
+                pbft::PrePrepare::batch_digest(pbft::request_digests(forged.requests));
             forged.sig = crypto_.sign(forged.signing_bytes());
             stats_.equivocations += 1;
             variant = std::move(forged);

@@ -62,12 +62,19 @@ crypto::Digest Request::payload_digest() const { return crypto::sha256(payload);
 
 // ---- PrePrepare -------------------------------------------------------
 
-crypto::Digest PrePrepare::batch_digest(const std::vector<Request>& requests) {
-    if (requests.size() == 1) return requests.front().digest();
-    codec::Writer w(8 + 32 * requests.size());
+std::vector<crypto::Digest> request_digests(const std::vector<Request>& requests) {
+    std::vector<crypto::Digest> out;
+    out.reserve(requests.size());
+    for (const Request& req : requests) out.push_back(req.digest());
+    return out;
+}
+
+crypto::Digest PrePrepare::batch_digest(const std::vector<crypto::Digest>& digests) {
+    if (digests.size() == 1) return digests.front();
+    codec::Writer w(8 + 32 * digests.size());
     w.str("ppb");
-    w.varint(requests.size());
-    for (const Request& req : requests) w.raw(req.digest());
+    w.varint(digests.size());
+    for (const crypto::Digest& d : digests) w.raw(d);
     return crypto::sha256(w.take());
 }
 

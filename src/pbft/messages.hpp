@@ -52,6 +52,9 @@ struct Request {
     friend bool operator==(const Request&, const Request&) = default;
 };
 
+/// `Request::digest()` of each request, in order.
+std::vector<crypto::Digest> request_digests(const std::vector<Request>& requests);
+
 struct PrePrepare {
     View view = 0;
     SeqNo seq = 0;
@@ -60,11 +63,14 @@ struct PrePrepare {
     NodeId primary = kNoNode;
     crypto::Signature sig{};
 
-    /// Digest the primary commits to for an ordered batch. A batch of one
-    /// is the request's own digest — identical to the pre-batching format,
-    /// so single-request instances stay wire- and proof-compatible. Larger
-    /// batches hash the concatenated inner digests under a domain prefix.
-    static crypto::Digest batch_digest(const std::vector<Request>& requests);
+    /// Digest the primary commits to for an ordered batch, from the
+    /// batch's request digests in order (`request_digests`). A batch of
+    /// one is the request's own digest — identical to the pre-batching
+    /// format, so single-request instances stay wire- and proof-compatible.
+    /// Larger batches hash the concatenated inner digests under a domain
+    /// prefix. Taking digests rather than requests lets a caller that
+    /// already holds them skip re-hashing every payload.
+    static crypto::Digest batch_digest(const std::vector<crypto::Digest>& digests);
 
     std::size_t requests_bytes() const noexcept;
 

@@ -189,16 +189,16 @@ void Replica::flush_batch() {
     pp.view = view_;
     pp.seq = seq;
     pp.requests = std::move(open_batch_);
-    pp.req_digest = PrePrepare::batch_digest(pp.requests);
+    pp.req_digest = PrePrepare::batch_digest(open_batch_digests_);
     pp.primary = config_.id;
     pp.sig = crypto_.sign(pp.signing_bytes());
+    for (const crypto::Digest& d : open_batch_digests_) known_requests_[d] = seq;
     open_batch_.clear();
     open_batch_digests_.clear();
     open_batch_bytes_ = 0;
 
     Slot& s = slot(seq);
     account_slot_bytes(s, pp.requests_bytes() + 96);
-    for (const Request& r : pp.requests) known_requests_[r.digest()] = seq;
     stats_.preprepares_sent += 1;
     stats_.batches_proposed += 1;
     stats_.batched_requests += pp.requests.size();
@@ -254,7 +254,12 @@ void Replica::handle(NodeId from, const PrePrepare& pp) {
     }
     if (pp.seq <= last_exec_ || !in_watermarks(pp.seq)) return;
 
-    if (pp.requests.empty() || pp.req_digest != PrePrepare::batch_digest(pp.requests)) {
+    if (pp.requests.empty()) {
+        stats_.invalid_messages += 1;
+        return;
+    }
+    const std::vector<crypto::Digest> digests = request_digests(pp.requests);
+    if (pp.req_digest != PrePrepare::batch_digest(digests)) {
         stats_.invalid_messages += 1;
         return;
     }
@@ -262,9 +267,6 @@ void Replica::handle(NodeId from, const PrePrepare& pp) {
         stats_.invalid_messages += 1;
         return;
     }
-    std::vector<crypto::Digest> digests;
-    digests.reserve(pp.requests.size());
-    for (const Request& r : pp.requests) digests.push_back(r.digest());
     for (std::size_t i = 0; i < pp.requests.size(); ++i) {
         const Request& r = pp.requests[i];
         if (r.is_null()) {
@@ -287,10 +289,10 @@ void Replica::handle(NodeId from, const PrePrepare& pp) {
         }
     }
 
-    accept_preprepare(pp);
+    accept_preprepare(pp, digests);
 }
 
-void Replica::accept_preprepare(const PrePrepare& pp) {
+void Replica::accept_preprepare(const PrePrepare& pp, const std::vector<crypto::Digest>& digests) {
     Slot& s = slot(pp.seq);
     if (s.preprepare) {
         if (s.preprepare->req_digest != pp.req_digest) {
@@ -304,8 +306,9 @@ void Replica::accept_preprepare(const PrePrepare& pp) {
     s.preprepare = pp;
     s.preprepare_at = sim_.now();
     account_slot_bytes(s, pp.requests_bytes() + 96);
-    for (const Request& r : pp.requests) {
-        if (!r.is_null()) known_requests_[r.digest()] = pp.seq;
+    for (std::size_t i = 0; i < pp.requests.size(); ++i) {
+        const Request& r = pp.requests[i];
+        if (!r.is_null()) known_requests_[digests[i]] = pp.seq;
         trace_request(trace::Phase::kPrePrepare, r, pp.seq);
         app_.preprepared(r);
     }
@@ -427,7 +430,9 @@ void Replica::execute(SeqNo seq, const std::vector<Request>& requests) {
     for (const Request& request : requests) {
         trace_request(trace::Phase::kDecide, request, seq);
 
-        if (!request.is_null()) {
+        // Forward timers exist only in baseline mode (request_timeout > 0);
+        // checking for them first keeps ZugChain mode from hashing here.
+        if (!request.is_null() && !request_timers_.empty()) {
             const auto timer = request_timers_.find(request.digest());
             if (timer != request_timers_.end()) {
                 sim_.cancel(timer->second.timer);
@@ -612,7 +617,7 @@ bool Replica::validate_prepared_proof(const PreparedProof& proof) {
     const PrePrepare& pp = proof.preprepare;
     if (pp.primary != primary_of(pp.view)) return false;
     if (pp.requests.empty()) return false;
-    if (pp.req_digest != PrePrepare::batch_digest(pp.requests)) return false;
+    if (pp.req_digest != PrePrepare::batch_digest(request_digests(pp.requests))) return false;
     if (!crypto_.verify(pp.primary, pp.signing_bytes(), pp.sig)) return false;
 
     std::set<NodeId> signers;
@@ -858,7 +863,7 @@ void Replica::enter_view(View v) {
 void Replica::install_reproposals(const std::vector<PrePrepare>& reproposals) {
     for (const PrePrepare& pp : reproposals) {
         if (pp.seq <= last_exec_) continue;
-        accept_preprepare(pp);
+        accept_preprepare(pp, request_digests(pp.requests));
     }
 }
 

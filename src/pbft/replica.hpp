@@ -252,7 +252,8 @@ private:
     void flush_batch();
     void queue_pending(Request request);
     void drain_pending();
-    void accept_preprepare(const PrePrepare& pp);
+    /// `digests` are `request_digests(pp.requests)`, computed by the caller.
+    void accept_preprepare(const PrePrepare& pp, const std::vector<crypto::Digest>& digests);
     void maybe_prepared(SeqNo seq);
     void maybe_committed(SeqNo seq);
     void execute_ready();

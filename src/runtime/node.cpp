@@ -375,7 +375,7 @@ void Node::process_telegram(std::uint32_t source, const bus::Telegram& telegram)
     const std::uint64_t uniquifier =
         (static_cast<std::uint64_t>(source) << 48) | telegram.cycle;
     if (options_.mode == Mode::kZugChain) {
-        layer_->receive(payload, uniquifier, source);
+        layer_->receive(payload, payload_digest, uniquifier, source);
     } else {
         client_->receive(payload, uniquifier);
     }
@@ -390,7 +390,7 @@ void Node::request_emergency_trim(Height up_to) {
         const Bytes payload = zugchain::ChainApp::make_trim_request(up_to);
         const std::uint64_t uniquifier = (1ull << 56) + up_to;
         if (options_.mode == Mode::kZugChain) {
-            layer_->receive(payload, uniquifier);
+            layer_->receive(payload, crypto::sha256(payload), uniquifier);
         } else {
             client_->receive(payload, uniquifier);
         }

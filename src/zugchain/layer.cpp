@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/log.hpp"
-#include "crypto/sha256.hpp"
 
 namespace zc::zugchain {
 
@@ -32,8 +31,8 @@ pbft::Request CommunicationLayer::make_signed_request(BytesView payload,
     return r;
 }
 
-void CommunicationLayer::receive(Bytes payload, std::uint64_t uniquifier, std::uint32_t source) {
-    const crypto::Digest digest = crypto::sha256(payload);
+void CommunicationLayer::receive(Bytes payload, const crypto::Digest& digest,
+                                 std::uint64_t uniquifier, std::uint32_t source) {
     crypto_.charge_hash(payload.size());
 
     if (logged_.contains(digest)) {

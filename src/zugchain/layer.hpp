@@ -134,7 +134,10 @@ public:
     /// per input link; §III-C "Multiple Input Sources"). `uniquifier`
     /// disambiguates the signed request (the bus cycle number), so
     /// re-signing after a view change yields an identical request.
-    void receive(Bytes payload, std::uint64_t uniquifier, std::uint32_t source = 0);
+    /// `payload_digest` is the caller's `sha256(payload)`: the bus path
+    /// has already hashed the payload, so the layer does not again.
+    void receive(Bytes payload, const crypto::Digest& payload_digest, std::uint64_t uniquifier,
+                 std::uint32_t source = 0);
 
     /// A layer BROADCAST/forward from another node (Alg. 1 ln. 25-32).
     /// `forwarded` suppresses re-forwarding loops.

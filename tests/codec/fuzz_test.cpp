@@ -55,7 +55,7 @@ pbft::Message sample_pbft_message(Rng& rng, int which) {
             pbft::Request preq;
             preq.payload = rng.bytes(32);
             pp.requests = {preq};
-            pp.req_digest = pbft::PrePrepare::batch_digest(pp.requests);
+            pp.req_digest = pbft::PrePrepare::batch_digest(pbft::request_digests(pp.requests));
             pp.primary = 0;
             return pp;
         }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/hex.hpp"
 #include "common/rng.hpp"
 #include "crypto/provider.hpp"
 
@@ -67,6 +68,24 @@ TEST(FastProvider, UnknownKeyFailsVerification) {
 
     FastProvider other;  // fresh registry: key unknown
     EXPECT_FALSE(other.verify(kp.pub, msg, sig));
+}
+
+TEST(FastProvider, SignatureBytesArePinned) {
+    // Signatures are hashed into blocks and sent on the wire, so any change
+    // to the bytes FastProvider produces changes every simulated output.
+    // The expected values pin its format: HMAC-SHA256(seed, message)
+    // followed by SHA-256 of that MAC and "ext".
+    FastProvider provider;
+    Rng rng(2024);
+    const KeyPair kp = provider.generate(rng);
+    const Bytes msg = to_bytes("ETCS juridical telegram, cycle 42");
+    const Signature sig = provider.sign(kp, msg);
+    EXPECT_EQ(to_hex(BytesView{kp.pub.v.data(), kp.pub.v.size()}),
+              "72063d262841609fbaec70a401be4895f1102a3edcd11eb71ad9b4c4c0c1f0bf");
+    EXPECT_EQ(to_hex(BytesView{sig.v.data(), sig.v.size()}),
+              "817508cd35befe39a82063c596d4d5484eb92632fa81bbac79e634dde158baad"
+              "7cd0daee152007ceabdb5f0bcdf4c4934ef2e6dc8fd8d356c16b9a587c0e62b4");
+    EXPECT_TRUE(provider.verify(kp.pub, msg, sig));
 }
 
 }  // namespace

@@ -36,12 +36,20 @@ TEST(Sha256, MillionA) {
 }
 
 TEST(Sha256, IncrementalMatchesOneShot) {
-    const Bytes msg = to_bytes("the quick brown fox jumps over the lazy dog, repeatedly");
-    for (std::size_t split = 0; split <= msg.size(); ++split) {
-        Sha256 h;
-        h.update(BytesView{msg.data(), split});
-        h.update(BytesView{msg.data() + split, msg.size() - split});
-        EXPECT_EQ(h.finalize(), sha256(msg)) << "split at " << split;
+    // One message inside a block, one spanning four (whole blocks on
+    // either side of a split reach the kernel in a single call).
+    Bytes multi_block(200);
+    for (std::size_t i = 0; i < multi_block.size(); ++i) {
+        multi_block[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    }
+    for (const Bytes& msg :
+         {to_bytes("the quick brown fox jumps over the lazy dog, repeatedly"), multi_block}) {
+        for (std::size_t split = 0; split <= msg.size(); ++split) {
+            Sha256 h;
+            h.update(BytesView{msg.data(), split});
+            h.update(BytesView{msg.data() + split, msg.size() - split});
+            EXPECT_EQ(h.finalize(), sha256(msg)) << "size " << msg.size() << " split " << split;
+        }
     }
 }
 
@@ -53,6 +61,14 @@ TEST(Sha256, PaddingBoundaries) {
         for (std::size_t i = 0; i < len; ++i) split_hash.update(&msg[i], 1);
         EXPECT_EQ(split_hash.finalize(), sha256(msg)) << "len " << len;
     }
+}
+
+TEST(Sha256, EmptyUpdateIsANoOp) {
+    // An empty view may carry a null data pointer; with bytes already
+    // buffered, copying from it would be undefined behaviour.
+    Sha256 h;
+    h.update(to_bytes("abc")).update(BytesView{});
+    EXPECT_EQ(h.finalize(), sha256(to_bytes("abc")));
 }
 
 TEST(Sha512, EmptyString) {
@@ -82,6 +98,12 @@ TEST(Sha512, MillionA) {
     EXPECT_EQ(hex512(h.finalize()),
               "e718483d0ce769644e2e42c7bc15b4638e1f98b13b2044285632a803afa973eb"
               "de0ff244877ea60a4cb0432ce577c31beb009c5c2c49aa2e4eadb217ad8cc09b");
+}
+
+TEST(Sha512, EmptyUpdateIsANoOp) {
+    Sha512 h;
+    h.update(to_bytes("abc")).update(BytesView{});
+    EXPECT_EQ(h.finalize(), sha512(to_bytes("abc")));
 }
 
 TEST(Sha512, IncrementalMatchesOneShot) {

@@ -44,7 +44,7 @@ struct AdvFixture : ::testing::Test {
         crypto::CryptoContext origin_ctx(provider, directory, keys[2], costs, m);
         r.sig = origin_ctx.sign(r.signing_bytes());
         pp.requests = {r};
-        pp.req_digest = pbft::PrePrepare::batch_digest(pp.requests);
+        pp.req_digest = pbft::PrePrepare::batch_digest(pbft::request_digests(pp.requests));
         pp.sig = crypto->sign(pp.signing_bytes());
         return pp;
     }
@@ -121,7 +121,8 @@ TEST_F(AdvFixture, EquivocationTargetsVictimConsistently) {
 
     // The forged variant is internally valid: outer and inner signatures
     // verify, and the digest matches its own batch.
-    EXPECT_EQ(forged1.req_digest, pbft::PrePrepare::batch_digest(forged1.requests));
+    EXPECT_EQ(forged1.req_digest,
+              pbft::PrePrepare::batch_digest(pbft::request_digests(forged1.requests)));
     EXPECT_TRUE(crypto->verify(0, forged1.signing_bytes(), forged1.sig));
     ASSERT_EQ(forged1.requests.size(), 1u);
     const Bytes inner = forged1.requests[0].signing_bytes();
@@ -160,7 +161,7 @@ TEST_F(AdvFixture, DigestFlipKeepsSignatureValid) {
     adv->pbft_send(1, pbft::Message{make_preprepare(0, 1)});
     ASSERT_EQ(emitted.size(), 1u);
     const auto& pp = std::get<pbft::PrePrepare>(emitted[0].second);
-    EXPECT_NE(pp.req_digest, pbft::PrePrepare::batch_digest(pp.requests));
+    EXPECT_NE(pp.req_digest, pbft::PrePrepare::batch_digest(pbft::request_digests(pp.requests)));
     EXPECT_TRUE(crypto->verify(0, pp.signing_bytes(), pp.sig));
     EXPECT_EQ(adv->stats().digests_flipped, 1u);
 }
@@ -238,7 +239,7 @@ TEST_F(AdvFixture, DelayedSendsReEnterPipelineAndCancelOnCrash) {
     sim.run_until(milliseconds(60));
     ASSERT_EQ(emitted.size(), 1u);
     const auto& pp = std::get<pbft::PrePrepare>(emitted[0].second);
-    EXPECT_NE(pp.req_digest, pbft::PrePrepare::batch_digest(pp.requests));
+    EXPECT_NE(pp.req_digest, pbft::PrePrepare::batch_digest(pbft::request_digests(pp.requests)));
     EXPECT_EQ(adv->stats().preprepares_delayed, 1u);
 
     // A send whose timer is still pending dies with the node.

@@ -26,7 +26,7 @@ TEST(BatchWire, SingleRequestKeepsLegacyTagAndDigest) {
     pp.view = 0;
     pp.seq = 1;
     pp.requests = {c.make_request(0, 1, to_bytes("solo"))};
-    pp.req_digest = PrePrepare::batch_digest(pp.requests);
+    pp.req_digest = PrePrepare::batch_digest(request_digests(pp.requests));
     pp.primary = 0;
     pp.sig = c.crypto_of(0).sign(pp.signing_bytes());
 
@@ -47,7 +47,7 @@ TEST(BatchWire, MultiRequestRoundTripsUnderBatchedTag) {
     pp.seq = 9;
     pp.requests = {c.make_request(0, 1, to_bytes("a")), c.make_request(1, 1, to_bytes("b")),
                    c.make_request(2, 1, to_bytes("c"))};
-    pp.req_digest = PrePrepare::batch_digest(pp.requests);
+    pp.req_digest = PrePrepare::batch_digest(request_digests(pp.requests));
     pp.primary = 2;
     pp.sig = c.crypto_of(2).sign(pp.signing_bytes());
 
@@ -59,7 +59,7 @@ TEST(BatchWire, MultiRequestRoundTripsUnderBatchedTag) {
 
     // The batch digest binds order: swapping two requests changes it.
     const std::vector<Request> swapped = {pp.requests[1], pp.requests[0], pp.requests[2]};
-    EXPECT_NE(PrePrepare::batch_digest(swapped), pp.req_digest);
+    EXPECT_NE(PrePrepare::batch_digest(request_digests(swapped)), pp.req_digest);
 }
 
 TEST(BatchWire, EmptyBatchRejectedOnDecode) {
@@ -167,7 +167,7 @@ TEST(BatchValidation, DuplicateRequestInsideProposedBatchRejected) {
     pp.view = 0;
     pp.seq = 1;
     pp.requests = {r, r};
-    pp.req_digest = PrePrepare::batch_digest(pp.requests);
+    pp.req_digest = PrePrepare::batch_digest(request_digests(pp.requests));
     pp.primary = 0;
     pp.sig = c.crypto_of(0).sign(pp.signing_bytes());
 
@@ -178,13 +178,45 @@ TEST(BatchValidation, DuplicateRequestInsideProposedBatchRejected) {
     EXPECT_TRUE(c.app(1).delivered.empty());
 }
 
+// The backup checks req_digest against digests it computes once and then
+// reuses for the duplicate check and its known-request index; a digest
+// that does not bind the requests must still be caught first.
+TEST(BatchValidation, MismatchedBatchDigestRejected) {
+    for (const std::uint64_t size : {1u, 3u}) {
+        Cluster c;
+        PrePrepare pp;
+        pp.view = 0;
+        pp.seq = 1;
+        for (std::uint64_t i = 1; i <= size; ++i) {
+            pp.requests.push_back(c.make_request(0, i, to_bytes("req-" + std::to_string(i))));
+        }
+        // The primary signs a digest of a batch whose last request differs.
+        std::vector<Request> committed = pp.requests;
+        committed.back().origin_seq += 100;
+        pp.req_digest = PrePrepare::batch_digest(request_digests(committed));
+        pp.primary = 0;
+        pp.sig = c.crypto_of(0).sign(pp.signing_bytes());
+
+        const std::uint64_t invalid_before = c.replica(1).stats().invalid_messages;
+        c.replica(1).on_message(0, Message{pp});
+        c.sim.run();
+        EXPECT_EQ(c.replica(1).stats().invalid_messages, invalid_before + 1) << "size " << size;
+        EXPECT_EQ(c.app(1).preprepared_count, 0) << "size " << size;
+        EXPECT_EQ(c.replica(1).stats().prepares_sent, 0u) << "size " << size;
+        for (const Request& r : pp.requests) {
+            EXPECT_FALSE(c.replica(1).knows_request(r.digest())) << "size " << size;
+        }
+        EXPECT_TRUE(c.app(1).delivered.empty()) << "size " << size;
+    }
+}
+
 TEST(BatchValidation, NullFillerMayNotTravelInsideMultiRequestBatch) {
     Cluster c;
     PrePrepare pp;
     pp.view = 0;
     pp.seq = 1;
     pp.requests = {c.make_request(0, 1, to_bytes("real")), Request::null()};
-    pp.req_digest = PrePrepare::batch_digest(pp.requests);
+    pp.req_digest = PrePrepare::batch_digest(request_digests(pp.requests));
     pp.primary = 0;
     pp.sig = c.crypto_of(0).sign(pp.signing_bytes());
 

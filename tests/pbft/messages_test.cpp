@@ -53,7 +53,7 @@ TEST(Messages, PrePrepareRoundTrip) {
     pp.view = 3;
     pp.seq = 42;
     pp.requests = {sample_request()};
-    pp.req_digest = PrePrepare::batch_digest(pp.requests);
+    pp.req_digest = PrePrepare::batch_digest(request_digests(pp.requests));
     pp.primary = 3 % 4;
     pp.sig.v.fill(0x11);
     const auto m = decode_message(encode_message(Message{pp}));
@@ -108,7 +108,7 @@ TEST(Messages, ViewChangeRoundTrip) {
     prepared.preprepare.seq = 11;
     prepared.preprepare.requests = {sample_request()};
     prepared.preprepare.req_digest =
-        PrePrepare::batch_digest(prepared.preprepare.requests);
+        PrePrepare::batch_digest(request_digests(prepared.preprepare.requests));
     prepared.preprepare.primary = 1;
     for (NodeId i = 2; i < 4; ++i) {
         Prepare p;

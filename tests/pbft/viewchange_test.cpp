@@ -205,7 +205,7 @@ TEST(ProofHardening, DuplicateSignerPreparedProofRejected) {
     pp.view = 0;
     pp.seq = 1;
     pp.requests = {r};
-    pp.req_digest = PrePrepare::batch_digest(pp.requests);
+    pp.req_digest = PrePrepare::batch_digest(request_digests(pp.requests));
     pp.primary = 0;
     pp.sig = c.crypto_of(0).sign(pp.signing_bytes());
 

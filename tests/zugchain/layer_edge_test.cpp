@@ -8,6 +8,14 @@
 namespace zc::zugchain {
 namespace {
 
+/// Bus input the way Node::process_telegram hands it over: the payload
+/// with its digest.
+void receive(CommunicationLayer& layer, std::string_view payload, std::uint64_t uniq,
+             std::uint32_t source = 0) {
+    const Bytes bytes = to_bytes(payload);
+    layer.receive(bytes, crypto::sha256(bytes), uniq, source);
+}
+
 struct MockConsensus final : ConsensusHandle {
     bool propose(const pbft::Request& r) override {
         proposed.push_back(r);
@@ -88,7 +96,7 @@ TEST_F(EdgeFixture, PrepreparedOptimizationCanBeDisabled) {
     cfg.cancel_soft_on_preprepare = false;
     auto layer = make_layer(cfg);
 
-    layer->receive(to_bytes("cycle"), 1);
+    receive(*layer, "cycle", 1);
     layer->preprepared(peer_request(0, to_bytes("cycle")));  // ignored by config
     sim.run_until(milliseconds(150));
     EXPECT_EQ(layer->stats().soft_timeouts, 1u);
@@ -130,7 +138,7 @@ TEST_F(EdgeFixture, NewPrimaryCancelsHardTimers) {
 
 TEST_F(EdgeFixture, MarkLoggedClearsOpenAndFilters) {
     auto layer = make_layer({});
-    layer->receive(to_bytes("transferred"), 1);
+    receive(*layer, "transferred", 1);
     EXPECT_EQ(layer->open_requests(), 1u);
 
     const crypto::Digest digest = crypto::sha256(to_bytes("transferred"));
@@ -139,7 +147,7 @@ TEST_F(EdgeFixture, MarkLoggedClearsOpenAndFilters) {
     EXPECT_TRUE(layer->in_log(digest));
 
     // Re-reading the same payload from the bus is now filtered.
-    layer->receive(to_bytes("transferred"), 1);
+    receive(*layer, "transferred", 1);
     EXPECT_EQ(layer->stats().filtered_in_log, 1u);
     // No timers left behind.
     sim.run();
@@ -153,7 +161,7 @@ TEST_F(EdgeFixture, ReceiveAfterPeerBroadcastUpgradesToBusCopy) {
     EXPECT_EQ(layer->open_requests(), 1u);
     // Then our own bus read of the same payload: no second entry, and as
     // primary later we would not re-propose (r.req in R).
-    layer->receive(to_bytes("cycle"), 1);
+    receive(*layer, "cycle", 1);
     EXPECT_EQ(layer->open_requests(), 1u);
     EXPECT_EQ(layer->stats().received, 0u);  // merged into the existing entry
 }

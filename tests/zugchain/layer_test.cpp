@@ -6,6 +6,14 @@
 namespace zc::zugchain {
 namespace {
 
+/// Bus input the way Node::process_telegram hands it over: the payload
+/// with its digest.
+void receive(CommunicationLayer& layer, std::string_view payload, std::uint64_t uniq,
+             std::uint32_t source = 0) {
+    const Bytes bytes = to_bytes(payload);
+    layer.receive(bytes, crypto::sha256(bytes), uniq, source);
+}
+
 struct MockConsensus final : ConsensusHandle {
     bool propose(const pbft::Request& r) override {
         proposed.push_back(r);
@@ -89,7 +97,7 @@ struct LayerFixture : ::testing::Test {
 
 TEST_F(LayerFixture, BackupStartsSoftTimerInsteadOfProposing) {
     // Self (node 1) is not the primary (node 0 initially).
-    layer->receive(to_bytes("cycle-1"), 1);
+    receive(*layer, "cycle-1", 1);
     EXPECT_TRUE(consensus.proposed.empty());
     EXPECT_EQ(layer->open_requests(), 1u);
 
@@ -102,14 +110,14 @@ TEST_F(LayerFixture, BackupStartsSoftTimerInsteadOfProposing) {
 
 TEST_F(LayerFixture, PrimaryProposesImmediately) {
     layer->new_primary(1, kSelf);  // become primary
-    layer->receive(to_bytes("cycle-1"), 1);
+    receive(*layer, "cycle-1", 1);
     ASSERT_EQ(consensus.proposed.size(), 1u);
     EXPECT_EQ(consensus.proposed[0].origin, kSelf);
     EXPECT_EQ(consensus.proposed[0].payload, to_bytes("cycle-1"));
 }
 
 TEST_F(LayerFixture, DecideCancelsTimersAndLogs) {
-    layer->receive(to_bytes("cycle-1"), 1);
+    receive(*layer, "cycle-1", 1);
     // The primary (node 0) proposed its copy; the decide arrives.
     decide(peer_request(0, to_bytes("cycle-1")), 1);
     ASSERT_EQ(sink.logged.size(), 1u);
@@ -124,9 +132,9 @@ TEST_F(LayerFixture, DecideCancelsTimersAndLogs) {
 }
 
 TEST_F(LayerFixture, RepeatedBusInputFilteredAfterDecide) {
-    layer->receive(to_bytes("cycle-1"), 1);
+    receive(*layer, "cycle-1", 1);
     decide(peer_request(0, to_bytes("cycle-1")), 1);
-    layer->receive(to_bytes("cycle-1"), 1);  // bus glitch re-delivers
+    receive(*layer, "cycle-1", 1);  // bus glitch re-delivers
     EXPECT_EQ(layer->stats().filtered_in_log, 1u);
     EXPECT_EQ(layer->open_requests(), 0u);
 }
@@ -141,7 +149,7 @@ TEST_F(LayerFixture, DuplicateDecideSuspectsPrimary) {
 }
 
 TEST_F(LayerFixture, PrepreparedCancelsSoftTimeout) {
-    layer->receive(to_bytes("cycle-1"), 1);
+    receive(*layer, "cycle-1", 1);
     // Primary's preprepare observed: cancel the soft timer.
     layer->preprepared(peer_request(0, to_bytes("cycle-1")));
     sim.run();
@@ -150,7 +158,7 @@ TEST_F(LayerFixture, PrepreparedCancelsSoftTimeout) {
 }
 
 TEST_F(LayerFixture, HardTimeoutSuspects) {
-    layer->receive(to_bytes("cycle-1"), 1);
+    receive(*layer, "cycle-1", 1);
     sim.run_until(milliseconds(250));  // soft fires, broadcast + hard timer
     sim.run_until(milliseconds(500));  // hard fires
     EXPECT_EQ(layer->stats().hard_timeouts, 1u);
@@ -167,7 +175,7 @@ TEST_F(LayerFixture, PeerBroadcastOnPrimaryProposesBroadcastersCopy) {
 
 TEST_F(LayerFixture, PeerBroadcastOnPrimaryWithRequestInQueueIsNotReproposed) {
     layer->new_primary(1, kSelf);
-    layer->receive(to_bytes("cycle-1"), 1);  // we proposed our own copy
+    receive(*layer, "cycle-1", 1);  // we proposed our own copy
     ASSERT_EQ(consensus.proposed.size(), 1u);
     layer->on_peer_request(2, peer_request(2, to_bytes("cycle-1")), false);
     EXPECT_EQ(consensus.proposed.size(), 1u);  // r.req in R: skip
@@ -218,15 +226,15 @@ TEST_F(LayerFixture, RateLimitCapsOpenRequestsPerOrigin) {
 
 TEST_F(LayerFixture, RateLimitDoesNotAffectBusInput) {
     for (int i = 0; i < 20; ++i) {
-        layer->receive(to_bytes("bus-" + std::to_string(i)), static_cast<std::uint64_t>(i));
+        receive(*layer, "bus-" + std::to_string(i), static_cast<std::uint64_t>(i));
     }
     EXPECT_EQ(layer->open_requests(), 20u);
     EXPECT_EQ(layer->stats().rate_limited, 0u);
 }
 
 TEST_F(LayerFixture, NewPrimarySelfProposesOpenRequests) {
-    layer->receive(to_bytes("cycle-1"), 1);
-    layer->receive(to_bytes("cycle-2"), 2);
+    receive(*layer, "cycle-1", 1);
+    receive(*layer, "cycle-2", 2);
     EXPECT_TRUE(consensus.proposed.empty());
 
     layer->new_primary(1, kSelf);
@@ -234,8 +242,8 @@ TEST_F(LayerFixture, NewPrimarySelfProposesOpenRequests) {
 }
 
 TEST_F(LayerFixture, NewPrimarySkipsRunningInstances) {
-    layer->receive(to_bytes("cycle-1"), 1);
-    layer->receive(to_bytes("cycle-2"), 2);
+    receive(*layer, "cycle-1", 1);
+    receive(*layer, "cycle-2", 2);
     // cycle-1 was re-proposed by the view change (running instance).
     consensus.inflight = {peer_request(0, to_bytes("cycle-1"))};
     layer->new_primary(1, kSelf);
@@ -244,7 +252,7 @@ TEST_F(LayerFixture, NewPrimarySkipsRunningInstances) {
 }
 
 TEST_F(LayerFixture, NewPrimaryBackupRestartsSoftTimers) {
-    layer->receive(to_bytes("cycle-1"), 1);
+    receive(*layer, "cycle-1", 1);
     sim.run_until(milliseconds(100));
     layer->new_primary(2, 2);  // still a backup; timers restart
     sim.run_until(milliseconds(300));  // old timer would have fired at 250
@@ -280,8 +288,8 @@ TEST_F(LayerFixture, DedupWindowEvictsOldDigests) {
 }
 
 TEST_F(LayerFixture, MultipleSourcesAreIndependentQueues) {
-    layer->receive(to_bytes("mvb-frame"), 1, /*source=*/0);
-    layer->receive(to_bytes("profinet-frame"), 1, /*source=*/1);
+    receive(*layer, "mvb-frame", 1, /*source=*/0);
+    receive(*layer, "profinet-frame", 1, /*source=*/1);
     EXPECT_EQ(layer->open_requests(), 2u);
     decide(peer_request(0, to_bytes("mvb-frame")), 1);
     decide(peer_request(0, to_bytes("profinet-frame")), 2);
@@ -302,7 +310,7 @@ TEST_F(LayerFixture, QueueGaugeTracksOpenBytes) {
     CommunicationLayer tracked(cfg, sim, *crypto, transport, sink, gauge);
     tracked.attach_consensus(consensus);
 
-    tracked.receive(to_bytes("cycle-1"), 1);
+    receive(tracked, "cycle-1", 1);
     EXPECT_GT(gauge->value(), 0);
     tracked.deliver(peer_request(0, to_bytes("cycle-1")), 1);
     EXPECT_EQ(gauge->value(), 0);

@@ -39,8 +39,8 @@
 //   zugchain_sim --crash-primary-at-s 10 --health health.json --fail-on-alarm
 //   zugchain_sim --crash 6:2:4 --duration-s 30      # crash node 2 at 6 s,
 //                                                   # restart it 4 s later
-//   zugchain_sim --dcs 1 --export-at-s 12 --export-timeout-s 5 \
-//                --flap 10:15:lte --duration-s 60   # export across an outage
+//   # export across an outage:
+//   zugchain_sim --dcs 1 --export-at-s 12 --export-timeout-s 5 --flap 10:15:lte --duration-s 60
 //   zugchain_sim --adversary equivocator:1 --audit  # compromise node 1,
 //                                                   # gate on the safety audit
 //   zugchain_sim --fleet 8 --fleet-chaos --audit --json   # CI fleet smoke:
@@ -57,8 +57,8 @@
 //                [--soak-recipes N] [--soak-day-s S]
 //
 //   zugchain_sim --soak 2 --journey 7 --cycle-ms 512 --json
-//   zugchain_sim --fleet 4 --soak 48 --journey 7 --cycle-ms 1024 \
-//                --payload 256   # two simulated days, fleet of four
+//   # two simulated days, fleet of four:
+//   zugchain_sim --fleet 4 --soak 48 --journey 7 --cycle-ms 1024 --payload 256
 //
 // Exit codes: 0 ok, 1 chains inconsistent, 2 usage, 3 health alarm
 // (with --fail-on-alarm; an alarm that fired and cleared — e.g. a crash
