@@ -182,7 +182,7 @@ LimpingResult run_limping(bool adaptive, bool quick) {
     gray.limp_factor = 12.0;  // past the fixed 250 ms budget on this config
     gray.flapping = 0;
     gray.creeps = 0;
-    fleet::apply(fleet::compile_gray(gray), cfg);
+    cfg.merge(fleet::compile_gray(gray).faults.trains.at(0));
 
     Scenario s(cfg);
     s.run();

@@ -1,17 +1,19 @@
 #include "fleet/chaos.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
 #include "common/rng.hpp"
-#include "fleet/fleet.hpp"
-#include "runtime/validate.hpp"
 
 namespace zc::fleet {
 
-FleetChaos FleetChaos::staggered(std::uint32_t trains, std::uint32_t dc_count, Duration run) {
-    FleetChaos chaos;
+void FleetFaults::merge(const FleetFaults& other) {
+    for (const auto& [train, plan] : other.trains) trains[train].merge(plan);
+    dc_outages.insert(dc_outages.end(), other.dc_outages.begin(), other.dc_outages.end());
+}
+
+FleetFaults staggered_drill(std::uint32_t trains, std::uint32_t dc_count, Duration run) {
+    FleetFaults drill;
     const std::int64_t run_ms = std::max<std::int64_t>(run.count() / 1'000'000, 1000);
 
     // Crash wave: every other train loses one node, spread across the
@@ -21,95 +23,60 @@ FleetChaos FleetChaos::staggered(std::uint32_t trains, std::uint32_t dc_count, D
     // with every alarm cleared.
     const std::uint32_t crash_trains = std::max<std::uint32_t>(trains / 2, 1);
     for (std::uint32_t k = 0; k < crash_trains; ++k) {
-        TrainCrash c;
-        c.train = static_cast<TrainId>(k * 2 % trains);
-        c.node = static_cast<NodeId>(k % 4);
-        c.at = milliseconds(run_ms / 5 + static_cast<std::int64_t>(k) * (run_ms * 2 / 5) /
-                                             crash_trains);
-        c.restart_after = milliseconds(std::min<std::int64_t>(run_ms / 6, 8000));
-        chaos.crashes.push_back(c);
+        const TrainId train = static_cast<TrainId>(k * 2 % trains);
+        drill.trains[train].crash_schedule.emplace_back(
+            milliseconds(run_ms / 5 +
+                         static_cast<std::int64_t>(k) * (run_ms * 2 / 5) / crash_trains),
+            static_cast<NodeId>(k % 4), milliseconds(std::min<std::int64_t>(run_ms / 6, 8000)));
     }
 
     // LTE dead zones: every third train goes dark for ~12% of the run,
     // staggered across the first half (tunnels come early on the line).
+    // Consensus and recording continue; exports straddling the window
+    // retry and complete afterwards.
     for (std::uint32_t t = 0; t < trains; t += 3) {
-        DeadZone z;
-        z.train = t;
-        z.at = milliseconds(run_ms / 10 + static_cast<std::int64_t>(t) * (run_ms * 2 / 5) /
-                                              std::max<std::uint32_t>(trains, 1));
-        z.duration = milliseconds(run_ms / 8);
-        chaos.dead_zones.push_back(z);
+        runtime::FaultPlan::LinkFlap zone;
+        zone.link = runtime::FaultPlan::LinkFlap::Link::kLte;
+        zone.at = milliseconds(run_ms / 10 + static_cast<std::int64_t>(t) * (run_ms * 2 / 5) /
+                                                 std::max<std::uint32_t>(trains, 1));
+        zone.duration = milliseconds(run_ms / 8);
+        drill.trains[t].link_flaps.push_back(zone);
     }
 
     // DC failover: data center 0 drops at 45% of the run and returns at
     // 80%, forcing every shard's exports onto the surviving DCs. Requires
     // a second DC to fail over to.
     if (dc_count > 1) {
-        DcOutage o;
-        o.dc = 0;
-        o.at = milliseconds(run_ms * 45 / 100);
-        o.duration = milliseconds(run_ms * 35 / 100);
-        chaos.dc_outages.push_back(o);
+        drill.dc_outages.push_back(
+            {0, milliseconds(run_ms * 45 / 100), milliseconds(run_ms * 35 / 100)});
     }
-    return chaos;
+    return drill;
 }
 
 // -- gray chaos compiler ----------------------------------------------------
 
 namespace {
 
-constexpr const char* kGrayNames[] = {"limping_node", "flapping_asym_link", "slow_creep"};
-
 /// Placement keeps this clear of the window edges so a gray fault never
 /// straddles warmup or the report cut.
 constexpr Duration kGrayMargin = seconds(2);
 
-bool overlaps_avoid(const std::vector<GrayAvoidSpan>& avoid, TrainId train, NodeId node,
-                    Duration from, Duration to) {
-    for (const GrayAvoidSpan& a : avoid) {
-        if (a.train != train || a.node != node) continue;
-        if (a.from < to && from < a.to) return true;
+/// True when [from, to) overlaps a span of `node` in `spans`.
+bool overlaps(const std::vector<faults::NodeDarkSpan>& spans, NodeId node, Duration from,
+              Duration to) {
+    for (const faults::NodeDarkSpan& s : spans) {
+        if (s.node == node && s.from < to && from < s.to) return true;
     }
     return false;
 }
 
 }  // namespace
 
-const char* gray_name(GrayKind kind) noexcept {
-    return kGrayNames[static_cast<unsigned>(kind)];
-}
-
-std::string GrayInstance::describe() const {
-    char line[160];
-    std::snprintf(line, sizeof line,
-                  "%s train %u node %u at %.1f s for %.1f s (severity %.2f)",
-                  gray_name(kind), train, node, to_seconds(at), to_seconds(duration),
-                  severity);
-    return line;
-}
-
-std::string CompiledGray::summary() const {
-    std::size_t flaps = 0, ramps = 0, limps = 0;
-    for (const GrayTrainPlan& t : trains) {
-        flaps += t.link_flaps.size();
-        ramps += t.egress_ramps.size();
-        limps += t.cpu_profiles.size();
-    }
-    char line[160];
-    std::snprintf(line, sizeof line,
-                  "gray: %zu train(s), %zu limping node(s), %zu asym flap(s), %zu ramp(s)\n",
-                  trains.size(), limps, flaps, ramps);
-    std::string out = line;
-    for (const GrayInstance& g : instances) out += "  " + g.describe() + "\n";
-    return out;
-}
-
-CompiledGray compile_gray(const GrayChaosOptions& opts) {
+CompiledGray compile_gray(const GrayChaosOptions& opts, const FleetFaults& base) {
     if (opts.n == 0 || opts.trains == 0) {
         throw std::invalid_argument("gray compile: n and trains must be positive");
     }
     CompiledGray out;
-    out.trains.resize(opts.trains);
 
     Rng rng = Rng(opts.seed).fork("gray-chaos");
     const Duration open = opts.warmup + kGrayMargin;
@@ -120,7 +87,14 @@ CompiledGray compile_gray(const GrayChaosOptions& opts) {
     const Duration active = close - open;
 
     for (TrainId t = 0; t < opts.trains; ++t) {
-        GrayTrainPlan& plan = out.trains[t];
+        runtime::FaultPlan& plan = out.faults.trains[t];
+        // Where the base plan already has a node down or partitioned.
+        std::vector<faults::NodeDarkSpan> dark;
+        if (const auto it = base.trains.find(t); it != base.trains.end()) {
+            runtime::FaultPlan::DownSpans spans = it->second.down_spans(opts.horizon);
+            dark = std::move(spans.crashed);
+            dark.insert(dark.end(), spans.isolated.begin(), spans.isolated.end());
+        }
         const auto byz = opts.byzantine.find(t);
         auto is_byz = [&](NodeId v) {
             return byz != opts.byzantine.end() && byz->second.contains(v);
@@ -164,11 +138,11 @@ CompiledGray compile_gray(const GrayChaosOptions& opts) {
             for (std::uint32_t k = 0; placed < want; ++k) {
                 const Duration at = open + phase + opts.flap_period * static_cast<int>(k);
                 if (at + opts.flap_on > close) break;
-                if (overlaps_avoid(opts.avoid, t, v, at, at + opts.flap_on)) continue;
-                runtime::ScenarioConfig::LinkFlap flap;
+                if (overlaps(dark, v, at, at + opts.flap_on)) continue;
+                runtime::FaultPlan::LinkFlap flap;
                 flap.at = at;
                 flap.duration = opts.flap_on;
-                flap.link = runtime::ScenarioConfig::LinkFlap::Link::kNode;
+                flap.link = runtime::FaultPlan::LinkFlap::Link::kNode;
                 flap.node = v;
                 flap.asymmetric = true;
                 plan.link_flaps.push_back(flap);
@@ -192,8 +166,8 @@ CompiledGray compile_gray(const GrayChaosOptions& opts) {
                 open + Duration{static_cast<Duration::rep>(rng.next_below(
                            static_cast<std::uint64_t>(std::max<Duration::rep>(
                                (half - std::min(half, opts.creep_ramp)).count(), 1))))};
-            if (overlaps_avoid(opts.avoid, t, v, at, at + opts.creep_ramp)) continue;
-            runtime::ScenarioConfig::EgressRamp ramp;
+            if (overlaps(dark, v, at, at + opts.creep_ramp)) continue;
+            runtime::FaultPlan::EgressRamp ramp;
             ramp.at = at;
             ramp.ramp = opts.creep_ramp;
             ramp.node = v;
@@ -207,48 +181,20 @@ CompiledGray compile_gray(const GrayChaosOptions& opts) {
         }
     }
 
-    // The budget gate: gray faults never crash anyone, but the emitted
-    // flaps and ramps must still survive the runtime validator (overlap
-    // rules, sane ramp parameters). Failure here is a compiler bug.
-    for (TrainId t = 0; t < opts.trains; ++t) {
-        runtime::ScenarioConfig probe;
-        probe.n = opts.n;
-        const auto byz = opts.byzantine.find(t);
-        const std::uint32_t byz_count =
-            byz == opts.byzantine.end() ? 0
-                                        : static_cast<std::uint32_t>(byz->second.size());
-        probe.f = byz_count >= opts.f ? 0 : opts.f - byz_count;
-        probe.link_flaps = out.trains[t].link_flaps;
-        probe.egress_ramps = out.trains[t].egress_ramps;
-        probe.cpu_profiles = out.trains[t].cpu_profiles;
-        if (const auto err = runtime::validate_scenario_faults(probe)) {
+    // The budget gate: gray faults never crash anyone, but each train's
+    // base-plus-gray plan must still survive the runtime validator (no
+    // flap on a down node, no overlapping flaps, sane ramp parameters).
+    // Failure here is a compiler bug.
+    for (const auto& [t, gray] : out.faults.trains) {
+        runtime::FaultPlan merged;
+        if (const auto it = base.trains.find(t); it != base.trains.end()) merged = it->second;
+        merged.merge(gray);
+        if (const auto err = runtime::validate_faults(merged, opts.n, opts.f)) {
             throw std::invalid_argument("gray compile: train " + std::to_string(t) + ": " +
                                         *err);
         }
     }
     return out;
-}
-
-void apply(const CompiledGray& gray, runtime::ScenarioConfig& cfg) {
-    if (gray.trains.empty()) return;
-    const GrayTrainPlan& plan = gray.trains.front();
-    cfg.link_flaps.insert(cfg.link_flaps.end(), plan.link_flaps.begin(),
-                          plan.link_flaps.end());
-    cfg.egress_ramps.insert(cfg.egress_ramps.end(), plan.egress_ramps.begin(),
-                            plan.egress_ramps.end());
-    for (const auto& [node, factor] : plan.cpu_profiles) cfg.cpu_profiles[node] = factor;
-}
-
-void apply(const CompiledGray& gray, FleetConfig& cfg) {
-    for (TrainId t = 0; t < gray.trains.size(); ++t) {
-        const GrayTrainPlan& plan = gray.trains[t];
-        FleetConfig::TrainOverlay& ov = cfg.overlays[t];
-        ov.link_flaps.insert(ov.link_flaps.end(), plan.link_flaps.begin(),
-                             plan.link_flaps.end());
-        ov.egress_ramps.insert(ov.egress_ramps.end(), plan.egress_ramps.begin(),
-                               plan.egress_ramps.end());
-        for (const auto& [node, factor] : plan.cpu_profiles) ov.cpu_profiles[node] = factor;
-    }
 }
 
 }  // namespace zc::fleet

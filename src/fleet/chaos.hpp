@@ -1,9 +1,10 @@
-// Fleet-level chaos schedules: deterministic, declarative fault plans
-// applied across many train shards at once — staggered node crashes,
-// per-train LTE dead zones (a consist passing through a tunnel loses its
-// uplink while its on-train cluster keeps recording), and data-center
-// outages that force the remaining shards' exports to fail over to the
-// surviving DC.
+// Fleet-level fault plans: one runtime::FaultPlan per train plus shared
+// data-center outages (FleetFaults), the standard staggered drill, and the
+// gray-chaos compiler. A train's plan is the same type a single consist
+// carries in its ScenarioConfig, so a journey, the drill and gray chaos
+// all compose by FaultPlan::merge, and the fleet validates each train's
+// merged plan once (runtime::validate_faults) before its TrainShard
+// drives it on the shared clock.
 //
 // Everything is plain data resolved against the virtual clock; the same
 // schedule on the same seed replays identically, so chaos runs stay
@@ -13,63 +14,43 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "common/ids.hpp"
 #include "common/time.hpp"
-#include "runtime/scenario.hpp"
+#include "runtime/fault_plan.hpp"
 
 namespace zc::fleet {
-
-struct FleetConfig;  // fleet.hpp (which includes this header)
 
 /// Index of a train (shard) within the fleet, 0..trains-1.
 using TrainId = std::uint32_t;
 
-struct FleetChaos {
-    /// Power-loss of one node on one train. `restart_after > 0` reboots
-    /// it that long after the crash; 0 leaves it down (fail-stop).
-    struct TrainCrash {
-        TrainId train = 0;
-        NodeId node = 0;
-        Duration at{0};
-        Duration restart_after{0};
-    };
+/// Data-center outage. `duration == 0` keeps the DC down for the rest of
+/// the run (fail-over target for the surviving DCs).
+struct DcOutage {
+    DataCenterId dc = 0;
+    Duration at{0};
+    Duration duration{0};
+};
 
-    /// LTE dead zone: one train's uplink to every data center drops for
-    /// `duration` (tunnel / rural gap). Consensus and recording continue;
-    /// exports straddling the window retry and complete afterwards.
-    struct DeadZone {
-        TrainId train = 0;
-        Duration at{0};
-        Duration duration{seconds(10)};
-    };
-
-    /// Data-center outage. `duration == 0` keeps the DC down for the rest
-    /// of the run (fail-over target for the surviving DCs).
-    struct DcOutage {
-        DataCenterId dc = 0;
-        Duration at{0};
-        Duration duration{0};
-    };
-
-    std::vector<TrainCrash> crashes;
-    std::vector<DeadZone> dead_zones;
+/// A whole fleet's faults: each train's plan (an LTE flap is that train's
+/// dead zone) and the shared data centers' outages.
+struct FleetFaults {
+    std::map<TrainId, runtime::FaultPlan> trains;
     std::vector<DcOutage> dc_outages;
 
-    bool empty() const noexcept {
-        return crashes.empty() && dead_zones.empty() && dc_outages.empty();
-    }
-
-    /// The standard fleet drill used by `zugchain_sim --fleet-chaos` and
-    /// the CI smoke job: a rolling wave of single-node crashes (each
-    /// restarting, staggered so no two overlap within a shard), LTE dead
-    /// zones sweeping every third train, and — when the fleet has more
-    /// than one data center — DC 0 failing mid-run and recovering at 80%
-    /// of the horizon. All offsets scale with `run` (warmup + duration).
-    static FleetChaos staggered(std::uint32_t trains, std::uint32_t dc_count, Duration run);
+    /// Merges `other` train by train (FaultPlan::merge) and appends its
+    /// DC outages.
+    void merge(const FleetFaults& other);
 };
+
+/// The standard fleet drill used by `zugchain_sim --fleet-chaos` and the
+/// CI smoke job: a rolling wave of single-node crashes (each restarting,
+/// staggered so no two overlap within a shard), LTE dead zones sweeping
+/// every third train, and — when the fleet has more than one data center
+/// — DC 0 failing mid-run and recovering at 80% of the horizon. All
+/// offsets scale with `run` (warmup + duration).
+FleetFaults staggered_drill(std::uint32_t trains, std::uint32_t dc_count, Duration run);
 
 // ---------------------------------------------------------------------------
 // Gray chaos: faults that degrade without failing cleanly. Unlike the
@@ -96,9 +77,7 @@ enum class GrayKind : std::uint8_t {
     kSlowCreep,
 };
 
-const char* gray_name(GrayKind kind) noexcept;
-
-/// One placed gray fault (for reports; the schedules carry the effects).
+/// One placed gray fault (the schedules carry the effects).
 struct GrayInstance {
     GrayKind kind = GrayKind::kLimpingNode;
     TrainId train = 0;
@@ -106,18 +85,6 @@ struct GrayInstance {
     Duration at{0};
     Duration duration{0};
     double severity = 0.0;  ///< limp factor / flap duty cycle / bw scale
-
-    std::string describe() const;
-};
-
-/// A span during which `node` of `train` is expected to be down (e.g. a
-/// journey-compiled crash): gray placement keeps clear of it so a flap
-/// never isolates a node that is already crashed.
-struct GrayAvoidSpan {
-    TrainId train = 0;
-    NodeId node = 0;
-    Duration from{0};
-    Duration to{0};
 };
 
 struct GrayChaosOptions {
@@ -155,40 +122,24 @@ struct GrayChaosOptions {
     /// Byzantine population per train: a gray victim is never also a
     /// Byzantine node (grayness must be distinguishable from malice).
     std::map<TrainId, std::set<NodeId>> byzantine;
-
-    /// Known down spans from a composed journey/chaos plan (see
-    /// GrayAvoidSpan). Lets `compile_gray` stay composable with the
-    /// journey compiler under the same f-budget validation.
-    std::vector<GrayAvoidSpan> avoid;
-};
-
-/// Per-train gray schedule, ready to merge into a ScenarioConfig or a
-/// FleetConfig::TrainOverlay. Gray faults never count against the crash
-/// budget (the victims stay correct), but the emitted flaps/ramps are
-/// still probed through validate_scenario_faults.
-struct GrayTrainPlan {
-    std::vector<runtime::ScenarioConfig::LinkFlap> link_flaps;  ///< all asymmetric
-    std::vector<runtime::ScenarioConfig::EgressRamp> egress_ramps;
-    std::map<NodeId, double> cpu_profiles;
 };
 
 struct CompiledGray {
-    std::vector<GrayTrainPlan> trains;  ///< index = train id
+    /// The gray schedules alone, one plan per train (every train present):
+    /// all flaps asymmetric, plus egress ramps and CPU profiles. Callers
+    /// merge it into the base they passed to compile_gray.
+    FleetFaults faults;
     std::vector<GrayInstance> instances;
-
-    std::string summary() const;
 };
 
 /// Lowers the options onto per-train gray schedules. Deterministic in
-/// `seed`. Throws std::invalid_argument if an emitted schedule fails the
-/// fault validator (a compiler bug — placement is conservative).
-CompiledGray compile_gray(const GrayChaosOptions& opts);
-
-/// Merges plan 0 into a single-consist scenario config (appends).
-void apply(const CompiledGray& gray, runtime::ScenarioConfig& cfg);
-
-/// Merges every train's plan into the fleet config's overlays (appends,
-/// so a journey overlay already present keeps its schedules).
-void apply(const CompiledGray& gray, FleetConfig& cfg);
+/// `seed`. Flaps and ramps are placed clear of the crash and node-flap
+/// spans of `base` (the drill, a compiled journey, a CLI schedule), so a
+/// flap never isolates a node that is already down. Gray faults never
+/// count against the crash budget (the victims stay correct), but each
+/// train's base-plus-gray plan must still pass runtime::validate_faults;
+/// otherwise this throws std::invalid_argument (a compiler bug —
+/// placement is conservative).
+CompiledGray compile_gray(const GrayChaosOptions& opts, const FleetFaults& base = {});
 
 }  // namespace zc::fleet

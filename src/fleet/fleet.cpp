@@ -5,18 +5,35 @@
 
 #include "common/log.hpp"
 #include "prof/prof.hpp"
-#include "runtime/validate.hpp"
 
 namespace zc::fleet {
-
-namespace {
-constexpr net::EndpointId kDcBase = 100;
-}
 
 Fleet::Fleet(FleetConfig config)
     : config_(std::move(config)), sim_(config_.seed),
       provider_(crypto::make_provider(config_.train.crypto_provider)) {
     if (config_.trains == 0) throw std::invalid_argument("fleet needs at least one train");
+    if (!static_cast<const runtime::FaultPlan&>(config_.train).empty()) {
+        throw std::invalid_argument(
+            "fleet template carries a fault plan; put per-train faults in FleetConfig::faults");
+    }
+    for (const auto& [t, plan] : config_.faults.trains) {
+        if (t >= config_.trains) {
+            throw std::invalid_argument("fleet faults name train " + std::to_string(t) +
+                                        " but the fleet has " +
+                                        std::to_string(config_.trains) + " trains");
+        }
+        if (config_.train.allow_unsafe_chaos) continue;
+        if (const auto err = runtime::validate_faults(plan, config_.train.n, config_.train.f)) {
+            throw std::invalid_argument("fleet faults train " + std::to_string(t) + ": " + *err);
+        }
+    }
+    for (const DcOutage& o : config_.faults.dc_outages) {
+        if (o.dc >= config_.dc_count) {
+            throw std::invalid_argument("fleet DC outage names dc " + std::to_string(o.dc) +
+                                        " but the fleet has " +
+                                        std::to_string(config_.dc_count) + " DCs");
+        }
+    }
     build();
 }
 
@@ -31,33 +48,19 @@ void Fleet::build() {
         dc_keys_.push_back(provider_->generate(dcrng));
     }
 
-    // Contended LTE: trains_per_cell shards share one cell, so each
-    // shard's uplink is provisioned with its static share of the cell.
-    net::LinkProfile lte = config_.train.lte_link;
-    lte.bandwidth_bps /= std::max<std::uint32_t>(config_.trains_per_cell, 1);
-
     // Shards, in train order (construction order is part of the replay).
     for (TrainId t = 0; t < config_.trains; ++t) {
         networks_.push_back(std::make_unique<net::Network>(sim_));
         net::Network& net = *networks_.back();
-        net.set_default_profile(config_.train.train_link);
-        for (std::uint32_t i = 0; i < config_.train.n; ++i) {
-            for (std::uint32_t d = 0; d < config_.dc_count; ++d) {
-                net.set_profile(i, kDcBase + d, lte);
-                net.set_profile(kDcBase + d, i, lte);
-            }
-        }
-        for (std::uint32_t a = 0; a < config_.dc_count; ++a) {
-            for (std::uint32_t b = 0; b < config_.dc_count; ++b) {
-                if (a != b) net.set_profile(kDcBase + a, kDcBase + b, config_.train.dc_link);
-            }
-        }
 
         if (config_.audit) auditors_.push_back(std::make_unique<faults::SafetyAuditor>());
 
         runtime::ScenarioConfig cfg = config_.train;
         cfg.seed = config_.seed;
         cfg.dc_count = config_.dc_count;
+        // Contended LTE: trains_per_cell shards share one cell, so each
+        // shard's uplink is provisioned with its static share of the cell.
+        cfg.lte_link.bandwidth_bps /= std::max<std::uint32_t>(config_.trains_per_cell, 1);
         if (config_.dc_count > 0) {
             cfg.delete_quorum = std::max<std::size_t>(
                 1, std::min<std::size_t>(cfg.delete_quorum, config_.dc_count));
@@ -83,31 +86,9 @@ void Fleet::build() {
         cfg.byzantine.clear();
         const auto byz = config_.byzantine.find(t);
         if (byz != config_.byzantine.end()) cfg.byzantine = byz->second;
-        // Shard-local fault schedules come from the fleet chaos plan (or
-        // a per-train overlay), not the per-train template.
-        cfg.crash_schedule.clear();
-        cfg.restart_schedule.clear();
-        cfg.link_flaps.clear();
-        cfg.rate_windows.clear();
-        cfg.cpu_profiles.clear();
-        cfg.egress_ramps.clear();
-        const auto overlay = config_.overlays.find(t);
-        if (overlay != config_.overlays.end()) {
-            cfg.rate_windows = overlay->second.rate_windows;
-            cfg.cpu_profiles = overlay->second.cpu_profiles;
-            if (!cfg.allow_unsafe_chaos) {
-                // Validate the full overlay (crashes/flaps included) the
-                // same way a single-consist schedule is validated.
-                runtime::ScenarioConfig probe = cfg;
-                probe.crash_schedule = overlay->second.crash_schedule;
-                probe.restart_schedule = overlay->second.restart_schedule;
-                probe.link_flaps = overlay->second.link_flaps;
-                probe.egress_ramps = overlay->second.egress_ramps;
-                if (const auto err = runtime::validate_scenario_faults(probe)) {
-                    throw std::invalid_argument("fleet overlay train " + std::to_string(t) +
-                                                ": " + *err);
-                }
-            }
+        if (const auto plan = config_.faults.trains.find(t);
+            plan != config_.faults.trains.end()) {
+            static_cast<runtime::FaultPlan&>(cfg) = plan->second;
         }
 
         runtime::ShardEnv env;
@@ -141,60 +122,12 @@ void Fleet::build() {
         }
     }
 
-    // Fleet chaos plan.
-    for (const auto& c : config_.chaos.crashes) {
-        if (c.train >= config_.trains || c.node >= config_.train.n) continue;
-        sim_.schedule(c.at, [this, c] { shards_[c.train]->crash_node(c.node); });
-        if (c.restart_after > Duration::zero()) {
-            sim_.schedule(c.at + c.restart_after,
-                          [this, c] { shards_[c.train]->restart_node(c.node); });
-        }
-    }
-    for (const auto& z : config_.chaos.dead_zones) {
-        if (z.train >= config_.trains) continue;
-        sim_.schedule(z.at, [this, z] { set_dead_zone(z.train, true); });
-        sim_.schedule(z.at + z.duration, [this, z] { set_dead_zone(z.train, false); });
-    }
-    for (const auto& o : config_.chaos.dc_outages) {
-        if (o.dc >= config_.dc_count) continue;
+    // Fault plans: each shard drives its own, then the shared DC outages.
+    for (auto& shard : shards_) shard->schedule_faults();
+    for (const DcOutage& o : config_.faults.dc_outages) {
         sim_.schedule(o.at, [this, o] { dcs_[o.dc]->set_down(true); });
         if (o.duration > Duration::zero()) {
             sim_.schedule(o.at + o.duration, [this, o] { dcs_[o.dc]->set_down(false); });
-        }
-    }
-
-    // Per-train journey overlays: crash/restart/flap schedules driven by
-    // the fleet on the shared clock (rate windows and CPU profiles were
-    // already installed into the shard configs above).
-    for (const auto& [t, overlay] : config_.overlays) {
-        if (t >= config_.trains) continue;
-        for (const auto& c : overlay.crash_schedule) {
-            if (c.node >= config_.train.n) continue;
-            sim_.schedule(c.at, [this, t = t, c] { shards_[t]->crash_node(c.node); });
-            if (c.restart_after > Duration::zero()) {
-                sim_.schedule(c.at + c.restart_after,
-                              [this, t = t, c] { shards_[t]->restart_node(c.node); });
-            }
-        }
-        for (const auto& [when, node] : overlay.restart_schedule) {
-            sim_.schedule(when, [this, t = t, node = node] { shards_[t]->restart_node(node); });
-        }
-        for (const auto& flap : overlay.link_flaps) {
-            sim_.schedule(flap.at,
-                          [this, t = t, flap] { apply_overlay_flap(t, flap, true); });
-            sim_.schedule(flap.at + flap.duration,
-                          [this, t = t, flap] { apply_overlay_flap(t, flap, false); });
-        }
-        for (const auto& r : overlay.egress_ramps) {
-            if (r.node >= config_.train.n) continue;
-            net::LinkRamp ramp;
-            ramp.start = TimePoint{r.at.count()};
-            ramp.duration = r.ramp;
-            ramp.bandwidth_scale_end = r.bandwidth_scale_end;
-            ramp.latency_scale_end = r.latency_scale_end;
-            ramp.loss_end = r.loss_end;
-            ramp.hold = r.hold;
-            networks_.at(t)->set_egress_ramp(r.node, ramp);
         }
     }
 
@@ -249,37 +182,6 @@ void Fleet::export_tick(TrainId train) {
         break;
     }
     sim_.schedule(config_.export_period, [this, train] { export_tick(train); });
-}
-
-void Fleet::apply_overlay_flap(TrainId train, const runtime::ScenarioConfig::LinkFlap& flap,
-                               bool blocked) {
-    if (flap.link == runtime::ScenarioConfig::LinkFlap::Link::kLte) {
-        // The whole uplink of one consist: exactly a dead zone.
-        set_dead_zone(train, blocked);
-        return;
-    }
-    // One node partitioned from its peers and the DCs, on its own shard
-    // network (mirrors Scenario::apply_flap).
-    net::Network& net = *networks_.at(train);
-    for (std::uint32_t i = 0; i < config_.train.n; ++i) {
-        if (i == flap.node) continue;
-        net.set_blocked(flap.node, i, blocked);
-        if (!flap.asymmetric) net.set_blocked(i, flap.node, blocked);
-    }
-    for (std::uint32_t d = 0; d < config_.dc_count; ++d) {
-        net.set_blocked(flap.node, kDcBase + d, blocked);
-        if (!flap.asymmetric) net.set_blocked(kDcBase + d, flap.node, blocked);
-    }
-}
-
-void Fleet::set_dead_zone(TrainId train, bool blocked) {
-    net::Network& net = *networks_.at(train);
-    for (std::uint32_t i = 0; i < config_.train.n; ++i) {
-        for (std::uint32_t d = 0; d < config_.dc_count; ++d) {
-            net.set_blocked(i, kDcBase + d, blocked);
-            net.set_blocked(kDcBase + d, i, blocked);
-        }
-    }
 }
 
 void Fleet::sample_tick() {

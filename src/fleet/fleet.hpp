@@ -30,6 +30,7 @@
 #include <optional>
 
 #include "faults/auditor.hpp"
+#include "fleet/chaos.hpp"
 #include "fleet/fleet_dc.hpp"
 #include "fleet/rollup.hpp"
 #include "health/monitor.hpp"
@@ -44,9 +45,12 @@ struct FleetConfig {
 
     /// Per-shard template. Fleet overrides, per shard: store_root
     /// (store_root/train-<t>), auditor/byzantine wiring, delete_quorum
-    /// (clamped to dc_count), dc_count (from the fleet). Health pointers
-    /// and schedules inside the template are ignored — the fleet drives
-    /// sampling, chaos and audits itself.
+    /// (clamped to dc_count), dc_count (from the fleet), the LTE link (the
+    /// train's share of its cell) and the fault plan (from `faults`).
+    /// Health pointers inside the template are ignored — the fleet drives
+    /// sampling and audits itself. The template's own FaultPlan must be
+    /// empty (the constructor throws otherwise): per-train faults belong
+    /// in `faults`.
     runtime::ScenarioConfig train;
 
     std::uint32_t dc_count = 2;
@@ -88,26 +92,14 @@ struct FleetConfig {
     /// Per-train Byzantine knobs (train -> node -> behaviour).
     std::map<TrainId, std::map<NodeId, runtime::ByzantineBehavior>> byzantine;
 
-    FleetChaos chaos;
-
-    /// Per-train journey overlay: shard-local fault and timetable
-    /// schedules, typically compiled from a journey plan (src/journey).
-    /// Unlike the template's schedules (which the fleet clears), an
-    /// overlay is applied to exactly its train: crashes/restarts/flaps
-    /// are driven by the fleet on the shared clock (an LTE flap is the
-    /// train's dead zone), rate windows and CPU profiles flow into the
-    /// shard's config. Each overlay is validated against the f budget at
-    /// construction (validate_scenario_faults) unless the template sets
+    /// Per-train fault plans (the drill, a compiled journey, gray chaos,
+    /// merged with FleetFaults::merge) and shared DC outages. Each train's
+    /// TrainShard drives its plan on the shared clock (an LTE flap is the
+    /// train's dead zone). The constructor rejects a train, node or DC id
+    /// out of range, and validates every plan against the f budget
+    /// (runtime::validate_faults) unless the template sets
     /// allow_unsafe_chaos.
-    struct TrainOverlay {
-        std::vector<runtime::ScenarioConfig::CrashEntry> crash_schedule;
-        std::vector<std::pair<Duration, NodeId>> restart_schedule;
-        std::vector<runtime::ScenarioConfig::LinkFlap> link_flaps;
-        std::vector<runtime::ScenarioConfig::RateWindow> rate_windows;
-        std::map<NodeId, double> cpu_profiles;
-        std::vector<runtime::ScenarioConfig::EgressRamp> egress_ramps;
-    };
-    std::map<TrainId, TrainOverlay> overlays;
+    FleetFaults faults;
 
     trace::TraceSink* trace_sink = nullptr;
 };
@@ -187,7 +179,6 @@ public:
         return t < auditors_.size() ? auditors_[t].get() : nullptr;
     }
     sim::Simulation& sim() noexcept { return sim_; }
-    net::Network& network(TrainId t) { return *networks_.at(t); }
     const FleetConfig& config() const noexcept { return config_; }
 
 private:
@@ -196,9 +187,6 @@ private:
     void sample_tick();
     void audit_tick();
     void audit_shard(TrainId train);
-    void set_dead_zone(TrainId train, bool blocked);
-    void apply_overlay_flap(TrainId train, const runtime::ScenarioConfig::LinkFlap& flap,
-                            bool blocked);
 
     FleetConfig config_;
     sim::Simulation sim_;

@@ -3,12 +3,13 @@
 #include <variant>
 
 #include "prof/prof.hpp"
+#include "runtime/train_shard.hpp"
 #include "runtime/wire.hpp"
 
 namespace zc::fleet {
 
 namespace {
-constexpr net::EndpointId kDcBase = 100;
+constexpr net::EndpointId kDcBase = runtime::kDcEndpointBase;
 }
 
 void FleetIndex::observe(TrainId train, DataCenterId dc, const chain::BlockStore& store) {

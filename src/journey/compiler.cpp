@@ -5,26 +5,23 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
-#include "runtime/validate.hpp"
 
 namespace zc::journey {
 
 namespace {
 
-using runtime::ScenarioConfig;
+using runtime::FaultPlan;
 
-/// Closed-open crash interval on one train, padded so consecutive
-/// recipes leave the shard time to rejoin and clear its alarms.
-struct DownSpan {
-    Duration start{0};
-    Duration end{0};
-};
-
+/// Padding around a train's crash spans, so consecutive recipes leave the
+/// shard time to rejoin and clear its alarms.
 constexpr Duration kRecipeMargin = seconds(300);
 
-bool conflicts(const std::vector<DownSpan>& spans, Duration start, Duration end) {
-    for (const DownSpan& s : spans) {
-        if (start < s.end + kRecipeMargin && s.start < end + kRecipeMargin) return true;
+/// True when a crash over [start, end) would come within the margin of a
+/// crash already in the train's plan. (Recipes always restart, so the
+/// horizon passed to down_spans never matters.)
+bool conflicts(const FaultPlan& plan, Duration start, Duration end) {
+    for (const auto& s : plan.down_spans(end).crashed) {
+        if (start < s.to + kRecipeMargin && s.from < end + kRecipeMargin) return true;
     }
     return false;
 }
@@ -65,7 +62,6 @@ CompiledJourney compile(const JourneyPlan& plan, const CompilerOptions& opts) {
     }
 
     CompiledJourney out;
-    out.overlays.resize(plan.trains.size());
 
     // Mechanical lowering of the timetable. Tunnel flap indices are kept
     // per train so a DC-outage recipe in single-consist mode can widen
@@ -75,7 +71,7 @@ CompiledJourney compile(const JourneyPlan& plan, const CompilerOptions& opts) {
     std::vector<std::vector<const Segment*>> stations(plan.trains.size());
     for (std::size_t t = 0; t < plan.trains.size(); ++t) {
         const TrainPlan& tp = plan.trains[t];
-        auto& ov = out.overlays[t];
+        FaultPlan& ov = out.faults.trains[static_cast<fleet::TrainId>(t)];
         for (const Segment& seg : tp.segments) {
             switch (seg.kind) {
                 case SegmentKind::kStation:
@@ -86,10 +82,10 @@ CompiledJourney compile(const JourneyPlan& plan, const CompilerOptions& opts) {
                     ov.rate_windows.emplace_back(seg.at, seg.duration, opts.depot_cycle_scale);
                     break;
                 case SegmentKind::kTunnel: {
-                    ScenarioConfig::LinkFlap flap;
+                    FaultPlan::LinkFlap flap;
                     flap.at = seg.at;
                     flap.duration = seg.duration;
-                    flap.link = ScenarioConfig::LinkFlap::Link::kLte;
+                    flap.link = FaultPlan::LinkFlap::Link::kLte;
                     tunnel_flap[t].push_back(ov.link_flaps.size());
                     ov.link_flaps.push_back(flap);
                     tunnels[t].push_back(&seg);
@@ -108,7 +104,6 @@ CompiledJourney compile(const JourneyPlan& plan, const CompilerOptions& opts) {
     // exhausts f) is retried on the next candidate slot and ultimately
     // dropped — the availability budget always wins over chaos volume.
     Rng rng = Rng(plan.seed).fork("journey-recipes");
-    std::vector<std::vector<DownSpan>> down(plan.trains.size());
     const auto byz_count = [&](std::size_t t) -> std::uint32_t {
         const auto it = opts.byzantine.find(static_cast<std::uint32_t>(t));
         return it == opts.byzantine.end() ? 0u
@@ -124,7 +119,7 @@ CompiledJourney compile(const JourneyPlan& plan, const CompilerOptions& opts) {
     for (std::uint32_t i = 0; i < opts.recipes; ++i) {
         RecipeKind kind = cycle[i % 3];
         const std::size_t t = i % plan.trains.size();
-        auto& ov = out.overlays[t];
+        FaultPlan& ov = out.faults.trains[static_cast<fleet::TrainId>(t)];
 
         if (kind == RecipeKind::kCrashInDeadZone && tunnels[t].empty()) {
             kind = RecipeKind::kRestartIntoPrunedChain;  // tunnel-free line
@@ -140,9 +135,8 @@ CompiledJourney compile(const JourneyPlan& plan, const CompilerOptions& opts) {
                     if (tun->duration < seconds(90)) continue;
                     const Duration at = tun->at + seconds(5);
                     const Duration restart_after = tun->duration;
-                    if (conflicts(down[t], at, at + restart_after)) continue;
+                    if (conflicts(ov, at, at + restart_after)) continue;
                     ov.crash_schedule.emplace_back(at, NodeId{0}, restart_after);
-                    down[t].push_back({at, at + restart_after});
                     out.recipes.push_back({kind, static_cast<std::uint32_t>(t), 0, 0, at,
                                            restart_after});
                     break;
@@ -161,9 +155,8 @@ CompiledJourney compile(const JourneyPlan& plan, const CompilerOptions& opts) {
                     const Segment* st = cand[(start + k) % cand.size()];
                     const Duration at = st->at;
                     if (at + hold + kRecipeMargin >= plan.horizon) continue;
-                    if (conflicts(down[t], at, at + hold)) continue;
+                    if (conflicts(ov, at, at + hold)) continue;
                     ov.crash_schedule.emplace_back(at, node, hold);
-                    down[t].push_back({at, at + hold});
                     out.recipes.push_back(
                         {kind, static_cast<std::uint32_t>(t), node, 0, at, hold});
                     break;
@@ -183,7 +176,7 @@ CompiledJourney compile(const JourneyPlan& plan, const CompilerOptions& opts) {
                         const Duration at =
                             tun->at > seconds(10) ? tun->at - seconds(10) : Duration::zero();
                         const Duration dur = tun->at - at + tun->duration + seconds(40);
-                        out.dc_outages.push_back({dc, at, dur});
+                        out.faults.dc_outages.push_back({dc, at, dur});
                         out.recipes.push_back(
                             {kind, static_cast<std::uint32_t>(t), kNoNode, dc, at, dur});
                     } else {
@@ -215,17 +208,10 @@ CompiledJourney compile(const JourneyPlan& plan, const CompilerOptions& opts) {
     // runtime validator with f reduced by its Byzantine population, so a
     // crashed node can never meet a Byzantine one past f. Failure here is
     // a compiler bug, not tolerable chaos.
-    for (std::size_t t = 0; t < out.overlays.size(); ++t) {
-        const auto& ov = out.overlays[t];
-        ScenarioConfig probe;
-        probe.n = opts.n;
+    for (const auto& [t, train_plan] : out.faults.trains) {
         const std::uint32_t byz = byz_count(t);
-        probe.f = byz >= opts.f ? 0 : opts.f - byz;
-        probe.crash_schedule = ov.crash_schedule;
-        probe.restart_schedule = ov.restart_schedule;
-        probe.link_flaps = ov.link_flaps;
-        probe.rate_windows = ov.rate_windows;
-        if (const auto err = runtime::validate_scenario_faults(probe)) {
+        const std::uint32_t f = byz >= opts.f ? 0 : opts.f - byz;
+        if (const auto err = runtime::validate_faults(train_plan, opts.n, f)) {
             throw std::invalid_argument("journey compile: train " + std::to_string(t) + ": " +
                                         *err);
         }
@@ -237,41 +223,21 @@ std::string CompiledJourney::summary() const {
     std::string out;
     char line[192];
     std::size_t windows = 0, flaps = 0, crashes = 0;
-    for (const auto& ov : overlays) {
-        windows += ov.rate_windows.size();
-        flaps += ov.link_flaps.size();
-        crashes += ov.crash_schedule.size();
+    for (const auto& [train, plan] : faults.trains) {
+        windows += plan.rate_windows.size();
+        flaps += plan.link_flaps.size();
+        crashes += plan.crash_schedule.size();
     }
     std::snprintf(line, sizeof(line),
                   "compiled: %zu train(s), %zu rate windows, %zu uplink flaps, %zu crashes, "
                   "%zu dc outages, %zu recipe(s)\n",
-                  overlays.size(), windows, flaps, crashes, dc_outages.size(), recipes.size());
+                  faults.trains.size(), windows, flaps, crashes, faults.dc_outages.size(),
+                  recipes.size());
     out += line;
     for (const RecipeInstance& r : recipes) {
         out += "  " + r.describe() + "\n";
     }
     return out;
-}
-
-void apply(const CompiledJourney& compiled, runtime::ScenarioConfig& cfg) {
-    if (compiled.overlays.empty()) return;
-    const auto& ov = compiled.overlays.front();
-    cfg.crash_schedule.insert(cfg.crash_schedule.end(), ov.crash_schedule.begin(),
-                              ov.crash_schedule.end());
-    cfg.restart_schedule.insert(cfg.restart_schedule.end(), ov.restart_schedule.begin(),
-                                ov.restart_schedule.end());
-    cfg.link_flaps.insert(cfg.link_flaps.end(), ov.link_flaps.begin(), ov.link_flaps.end());
-    cfg.rate_windows.insert(cfg.rate_windows.end(), ov.rate_windows.begin(),
-                            ov.rate_windows.end());
-    for (const auto& [node, factor] : ov.cpu_profiles) cfg.cpu_profiles[node] = factor;
-}
-
-void apply(const CompiledJourney& compiled, fleet::FleetConfig& cfg) {
-    for (std::size_t t = 0; t < compiled.overlays.size(); ++t) {
-        cfg.overlays[static_cast<fleet::TrainId>(t)] = compiled.overlays[t];
-    }
-    cfg.chaos.dc_outages.insert(cfg.chaos.dc_outages.end(), compiled.dc_outages.begin(),
-                                compiled.dc_outages.end());
 }
 
 }  // namespace zc::journey

@@ -1,11 +1,12 @@
 // Chaos compiler: lowers a journey plan (plus compounded fault recipes)
-// onto the fault schedules the runtime and fleet already execute.
+// onto per-train fault plans (runtime::FaultPlan, gathered in a
+// fleet::FleetFaults) that the runtime and fleet already execute.
 //
 // Plain segments lower mechanically:
-//   station dwell -> ScenarioConfig::RateWindow with cycle_scale < 1
+//   station dwell -> FaultPlan::RateWindow with cycle_scale < 1
 //   depot layover -> RateWindow with cycle_scale > 1
-//   tunnel        -> LinkFlap{kLte} (in a fleet, the train's dead zone)
-//   degraded node -> ScenarioConfig::cpu_profiles entry
+//   tunnel        -> LinkFlap{kLte} (the train's dead zone)
+//   degraded node -> FaultPlan::cpu_profiles entry
 //
 // On top of that the compiler weaves in *compounded* recipes — fault
 // combinations that only bite when they overlap:
@@ -20,7 +21,7 @@
 //
 // Every emitted schedule is validated against the availability budget:
 // no recipe may ever put more than f nodes of one shard concurrently
-// into the crashed-or-Byzantine set (validate_scenario_faults with
+// into the crashed-or-Byzantine set (runtime::validate_faults with
 // f reduced by the shard's Byzantine population). A recipe that cannot
 // be placed without breaking the budget is dropped, never bent.
 #pragma once
@@ -31,9 +32,8 @@
 #include <string>
 #include <vector>
 
-#include "fleet/fleet.hpp"
+#include "fleet/chaos.hpp"
 #include "journey/journey.hpp"
-#include "runtime/scenario.hpp"
 
 namespace zc::journey {
 
@@ -86,11 +86,10 @@ struct CompilerOptions {
 };
 
 struct CompiledJourney {
-    /// Index = train. Single-consist harnesses use overlays[0].
-    std::vector<fleet::FleetConfig::TrainOverlay> overlays;
-
-    /// Fleet-only: shared data-center outages from dead-zone recipes.
-    std::vector<fleet::FleetChaos::DcOutage> dc_outages;
+    /// One plan per train (every train present; a single consist merges
+    /// trains.at(0) into its ScenarioConfig). Shared data-center outages
+    /// from dead-zone recipes appear in fleet mode only.
+    fleet::FleetFaults faults;
 
     /// Recipes actually placed (budget-violating ones are dropped).
     std::vector<RecipeInstance> recipes;
@@ -103,12 +102,5 @@ struct CompiledJourney {
 /// would indicate a compiler bug, not a caller error — placement is
 /// conservative by construction).
 CompiledJourney compile(const JourneyPlan& plan, const CompilerOptions& opts);
-
-/// Installs overlay 0 onto a single-consist scenario config (appends to
-/// any schedules already present).
-void apply(const CompiledJourney& compiled, runtime::ScenarioConfig& cfg);
-
-/// Installs every overlay plus the DC outages onto a fleet config.
-void apply(const CompiledJourney& compiled, fleet::FleetConfig& cfg);
 
 }  // namespace zc::journey

@@ -239,7 +239,7 @@ SoakReport run_soak(const SoakOptions& options) {
         }
         single_monitor = std::make_unique<health::HealthMonitor>(mc);
         sc.health_monitor = single_monitor.get();
-        if (options.journey_seed != 0) apply(compiled, sc);
+        if (options.journey_seed != 0) sc.merge(compiled.faults.trains.at(0));
 
         scenario = std::make_unique<runtime::Scenario>(sc);
         monitors.push_back(single_monitor.get());
@@ -288,7 +288,11 @@ SoakReport run_soak(const SoakOptions& options) {
         fc.sample_period = options.fleet_sample_period;
         fc.audit = options.audit;
         fc.audit_period = Duration::zero();  // boundary-driven
-        if (options.journey_seed != 0) apply(compiled, fc);
+        // The template's own schedules land on train 0 (as zugchain_sim's
+        // fleet mode does); the journey's plans follow them.
+        fc.faults.trains[0].merge(fc.train);
+        static_cast<runtime::FaultPlan&>(fc.train) = {};
+        if (options.journey_seed != 0) fc.faults.merge(compiled.faults);
 
         fl = std::make_unique<fleet::Fleet>(std::move(fc));
         for (std::uint32_t t = 0; t < options.trains; ++t) {

@@ -39,7 +39,8 @@ namespace zc::journey {
 struct SoakOptions {
     /// Workload template (n, f, seed, bus cycle, payload, timers...).
     /// `duration`, `warmup`, `dc_count`, `mem_sample_period`, auditor and
-    /// monitor pointers are overridden by the runner.
+    /// monitor pointers are overridden by the runner. Its fault plan runs
+    /// before the journey's; in fleet mode it lands on train 0.
     runtime::ScenarioConfig base;
 
     bool fleet = false;

@@ -1,10 +1,7 @@
-#include "runtime/validate.hpp"
+#include "runtime/fault_plan.hpp"
 
 #include <algorithm>
 #include <cstdio>
-#include <vector>
-
-#include "runtime/scenario.hpp"
 
 namespace zc::runtime {
 
@@ -16,71 +13,96 @@ std::string fmt_s(Duration d) {
     return buf;
 }
 
-/// One contiguous down interval of a node: [start, end), end empty for a
-/// fail-stop crash that is never restarted.
-struct DownInterval {
-    NodeId node = 0;
-    Duration start{0};
-    std::optional<Duration> end;
-
-    bool covers(Duration t) const {
-        return t >= start && (!end.has_value() || t < *end);
-    }
-    bool overlaps(Duration a, Duration b) const {  // [a, b)
-        return start < b && (!end.has_value() || a < *end);
-    }
-};
+template <typename T>
+void append(std::vector<T>& to, const std::vector<T>& from) {
+    to.insert(to.end(), from.begin(), from.end());
+}
 
 }  // namespace
 
-std::optional<std::string> validate_scenario_faults(const ScenarioConfig& cfg) {
-    // Resolve each crash to a down interval, pairing fail-stop crashes
-    // with the earliest later explicit restart of the same node.
-    std::vector<std::pair<Duration, NodeId>> restarts = cfg.restart_schedule;
+bool FaultPlan::empty() const noexcept {
+    return crash_schedule.empty() && restart_schedule.empty() && link_flaps.empty() &&
+           egress_ramps.empty() && rate_windows.empty() && cpu_profiles.empty();
+}
+
+void FaultPlan::merge(const FaultPlan& other) {
+    append(crash_schedule, other.crash_schedule);
+    append(restart_schedule, other.restart_schedule);
+    append(link_flaps, other.link_flaps);
+    append(egress_ramps, other.egress_ramps);
+    append(rate_windows, other.rate_windows);
+    for (const auto& [node, factor] : other.cpu_profiles) cpu_profiles[node] = factor;
+}
+
+FaultPlan::DownSpans FaultPlan::down_spans(Duration horizon) const {
+    DownSpans out;
+    // Pair each fail-stop crash with the earliest later explicit restart
+    // of the same node that no earlier crash has claimed.
+    std::vector<std::pair<Duration, NodeId>> restarts = restart_schedule;
     std::sort(restarts.begin(), restarts.end());
     std::vector<bool> restart_used(restarts.size(), false);
-
-    std::vector<DownInterval> down;
-    for (const auto& c : cfg.crash_schedule) {
-        if (c.node >= cfg.n) {
-            return "crash at " + fmt_s(c.at) + " names node " + std::to_string(c.node) +
-                   " but n=" + std::to_string(cfg.n);
-        }
-        DownInterval iv;
-        iv.node = c.node;
-        iv.start = c.at;
+    for (const CrashEntry& c : crash_schedule) {
+        Duration to = horizon;
         if (c.restart_after > Duration::zero()) {
-            iv.end = c.at + c.restart_after;
+            to = c.at + c.restart_after;
         } else {
             for (std::size_t r = 0; r < restarts.size(); ++r) {
                 if (!restart_used[r] && restarts[r].second == c.node &&
                     restarts[r].first > c.at) {
                     restart_used[r] = true;
-                    iv.end = restarts[r].first;
+                    to = restarts[r].first;
                     break;
                 }
             }
         }
-        down.push_back(iv);
+        out.crashed.push_back({c.node, c.at, to});
     }
+    for (const LinkFlap& flap : link_flaps) {
+        if (flap.link == LinkFlap::Link::kNode) {
+            out.isolated.push_back({flap.node, flap.at, flap.at + flap.duration});
+        } else {
+            out.uplink.push_back({flap.at, flap.at + flap.duration});
+        }
+    }
+    return out;
+}
+
+std::optional<std::string> validate_faults(const FaultPlan& plan, std::uint32_t n,
+                                           std::uint32_t f) {
+    using LinkFlap = FaultPlan::LinkFlap;
+    auto unknown = [n](const char* what, Duration at, NodeId node) {
+        return std::string(what) + " at " + fmt_s(at) + " names node " + std::to_string(node) +
+               " but n=" + std::to_string(n);
+    };
+    for (const auto& c : plan.crash_schedule) {
+        if (c.node >= n) return unknown("crash", c.at, c.node);
+    }
+    for (const auto& [at, node] : plan.restart_schedule) {
+        if (node >= n) return unknown("restart", at, node);
+    }
+
+    // Fail-stop crashes stay down for good: an open-ended horizon.
+    const Duration forever = Duration::max();
+    std::vector<faults::NodeDarkSpan> down = plan.down_spans(forever).crashed;
 
     // A node crashed while already down: the second power-loss is a no-op
     // in the simulator, so the schedule does not mean what it says.
-    std::sort(down.begin(), down.end(), [](const DownInterval& a, const DownInterval& b) {
-        return a.start != b.start ? a.start < b.start : a.node < b.node;
-    });
+    std::sort(down.begin(), down.end(),
+              [](const faults::NodeDarkSpan& a, const faults::NodeDarkSpan& b) {
+                  return a.from != b.from ? a.from < b.from : a.node < b.node;
+              });
     for (std::size_t i = 0; i < down.size(); ++i) {
         for (std::size_t j = i + 1; j < down.size(); ++j) {
-            if (down[i].node == down[j].node && down[i].covers(down[j].start)) {
+            if (down[i].node == down[j].node && down[j].from < down[i].to) {
                 return "node " + std::to_string(down[i].node) + " crashed at " +
-                       fmt_s(down[j].start) + " while already down since " +
-                       fmt_s(down[i].start);
+                       fmt_s(down[j].from) + " while already down since " +
+                       fmt_s(down[i].from);
             }
         }
     }
 
     // Concurrency sweep: at no instant may more than f nodes be down.
-    // Interval ends sort before starts at equal time ([start, end)): a
+    // Interval ends sort before starts at equal time ([from, to)): a
     // restart scheduled at the same instant as another node's crash keeps
     // the schedule inside the budget.
     struct Event {
@@ -88,9 +110,9 @@ std::optional<std::string> validate_scenario_faults(const ScenarioConfig& cfg) {
         int delta;  // -1 = restart, +1 = crash
     };
     std::vector<Event> events;
-    for (const DownInterval& iv : down) {
-        events.push_back({iv.start, +1});
-        if (iv.end.has_value()) events.push_back({*iv.end, -1});
+    for (const auto& s : down) {
+        events.push_back({s.from, +1});
+        if (s.to != forever) events.push_back({s.to, -1});
     }
     std::sort(events.begin(), events.end(), [](const Event& a, const Event& b) {
         return a.at != b.at ? a.at < b.at : a.delta < b.delta;
@@ -98,32 +120,28 @@ std::optional<std::string> validate_scenario_faults(const ScenarioConfig& cfg) {
     int concurrent = 0;
     for (const Event& e : events) {
         concurrent += e.delta;
-        if (concurrent > static_cast<int>(cfg.f)) {
+        if (concurrent > static_cast<int>(f)) {
             return "crash schedule takes " + std::to_string(concurrent) +
                    " nodes down concurrently at " + fmt_s(e.at) + " but f=" +
-                   std::to_string(cfg.f) +
+                   std::to_string(f) +
                    " (a 2f+1 quorum needs all but f replicas; stagger the crashes or "
                    "set allow_unsafe_chaos)";
         }
     }
 
     // Link flaps: partitioning a node that is down for the whole window
-    // is a no-op masquerading as a fault — reject it like FleetChaos's
-    // staggered plan avoids it by construction.
-    for (const auto& flap : cfg.link_flaps) {
+    // is a no-op masquerading as a fault.
+    for (const auto& flap : plan.link_flaps) {
         if (flap.duration <= Duration::zero()) {
             return "link flap at " + fmt_s(flap.at) + " has non-positive duration";
         }
-        if (flap.link != ScenarioConfig::LinkFlap::Link::kNode) continue;
-        if (flap.node >= cfg.n) {
-            return "link flap at " + fmt_s(flap.at) + " names node " +
-                   std::to_string(flap.node) + " but n=" + std::to_string(cfg.n);
-        }
-        for (const DownInterval& iv : down) {
-            if (iv.node == flap.node && iv.overlaps(flap.at, flap.at + flap.duration)) {
+        if (flap.link != LinkFlap::Link::kNode) continue;
+        if (flap.node >= n) return unknown("link flap", flap.at, flap.node);
+        for (const auto& s : down) {
+            if (s.node == flap.node && s.from < flap.at + flap.duration && flap.at < s.to) {
                 return "link flap at " + fmt_s(flap.at) + " isolates node " +
                        std::to_string(flap.node) + " which is already crashed (down since " +
-                       fmt_s(iv.start) + ")";
+                       fmt_s(s.from) + ")";
             }
         }
     }
@@ -131,16 +149,13 @@ std::optional<std::string> validate_scenario_faults(const ScenarioConfig& cfg) {
     // Overlapping flaps of the same link: the runtime tracks a link as a
     // blocked/unblocked bool, so the first window's close would reopen a
     // link the second window still wants dark.
-    std::vector<ScenarioConfig::LinkFlap> flaps = cfg.link_flaps;
+    std::vector<LinkFlap> flaps = plan.link_flaps;
     std::sort(flaps.begin(), flaps.end(),
-              [](const ScenarioConfig::LinkFlap& a, const ScenarioConfig::LinkFlap& b) {
-                  return a.at < b.at;
-              });
+              [](const LinkFlap& a, const LinkFlap& b) { return a.at < b.at; });
     for (std::size_t i = 0; i < flaps.size(); ++i) {
         for (std::size_t j = i + 1; j < flaps.size(); ++j) {
             if (flaps[i].link != flaps[j].link) continue;
-            if (flaps[i].link == ScenarioConfig::LinkFlap::Link::kNode &&
-                flaps[i].node != flaps[j].node) {
+            if (flaps[i].link == LinkFlap::Link::kNode && flaps[i].node != flaps[j].node) {
                 continue;
             }
             if (flaps[j].at < flaps[i].at + flaps[i].duration) {
@@ -155,11 +170,8 @@ std::optional<std::string> validate_scenario_faults(const ScenarioConfig& cfg) {
     // count against the f-budget — a limping node is still correct — but
     // a nonsensical ramp (negative scales, loss outside [0,1]) silently
     // clamps in the network layer and would not mean what it says.
-    for (const auto& r : cfg.egress_ramps) {
-        if (r.node >= cfg.n) {
-            return "egress ramp at " + fmt_s(r.at) + " names node " + std::to_string(r.node) +
-                   " but n=" + std::to_string(cfg.n);
-        }
+    for (const auto& r : plan.egress_ramps) {
+        if (r.node >= n) return unknown("egress ramp", r.at, r.node);
         if (r.ramp <= Duration::zero()) {
             return "egress ramp at " + fmt_s(r.at) + " has non-positive ramp duration";
         }
@@ -174,9 +186,9 @@ std::optional<std::string> validate_scenario_faults(const ScenarioConfig& cfg) {
     // Telegram-rate windows: positive scale, positive duration, no
     // overlap (each close restores the base cycle, so nesting would
     // cancel the outer window early).
-    std::vector<ScenarioConfig::RateWindow> windows = cfg.rate_windows;
+    std::vector<FaultPlan::RateWindow> windows = plan.rate_windows;
     std::sort(windows.begin(), windows.end(),
-              [](const ScenarioConfig::RateWindow& a, const ScenarioConfig::RateWindow& b) {
+              [](const FaultPlan::RateWindow& a, const FaultPlan::RateWindow& b) {
                   return a.at < b.at;
               });
     for (std::size_t i = 0; i < windows.size(); ++i) {

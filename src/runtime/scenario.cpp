@@ -4,13 +4,8 @@
 
 #include "common/log.hpp"
 #include "prof/prof.hpp"
-#include "runtime/validate.hpp"
 
 namespace zc::runtime {
-
-namespace {
-constexpr net::EndpointId kDcBase = 100;
-}
 
 /// A data center plus its local executor/crypto, attached to the network.
 class Scenario::DataCenterHost final : public net::Endpoint {
@@ -55,12 +50,12 @@ private:
     struct Transport final : exporter::DcTransport {
         explicit Transport(DataCenterHost& host) : host(host) {}
         void to_replica(NodeId replica, const exporter::ExportMessage& m) override {
-            host.scenario_.net_.send(kDcBase + host.id_, replica,
+            host.scenario_.net_.send(kDcEndpointBase + host.id_, replica,
                                      encode_envelope(Channel::kExport,
                                                      exporter::encode_export_message(m)));
         }
         void to_data_center(DataCenterId dc, const exporter::ExportMessage& m) override {
-            host.scenario_.net_.send(kDcBase + host.id_, kDcBase + dc,
+            host.scenario_.net_.send(kDcEndpointBase + host.id_, kDcEndpointBase + dc,
                                      encode_envelope(Channel::kExport,
                                                      exporter::encode_export_message(m)));
         }
@@ -81,7 +76,7 @@ Scenario::Scenario(ScenarioConfig config)
       provider_(crypto::make_provider(config_.crypto_provider)),
       dc_costs_(metrics::CostModel::cloud()) {
     if (!config_.allow_unsafe_chaos) {
-        if (const auto err = validate_scenario_faults(config_)) {
+        if (const auto err = validate_faults(config_, config_.n, config_.f)) {
             throw std::invalid_argument("scenario fault schedule: " + *err);
         }
     }
@@ -96,24 +91,9 @@ void Scenario::build() {
     ZC_PROF_SCOPE(kSetup);
     sim_.set_profiler(prof::Profiler::active());
 
-    // Network topology: full mesh of train Ethernet between nodes; LTE
-    // between train and data centers; fast interconnect between DCs.
-    // (Profile setup consumes no randomness, so it can precede the shard.)
-    net_.set_default_profile(config_.train_link);
-    for (std::uint32_t i = 0; i < config_.n; ++i) {
-        for (std::uint32_t d = 0; d < config_.dc_count; ++d) {
-            net_.set_profile(i, kDcBase + d, config_.lte_link);
-            net_.set_profile(kDcBase + d, i, config_.lte_link);
-        }
-    }
-    for (std::uint32_t a = 0; a < config_.dc_count; ++a) {
-        for (std::uint32_t b = 0; b < config_.dc_count; ++b) {
-            if (a != b) net_.set_profile(kDcBase + a, kDcBase + b, config_.dc_link);
-        }
-    }
-
-    // The consist itself: keys, auditor wiring, generator, buses, nodes,
-    // state transfer. The empty rng label keeps the classic fork stream.
+    // The consist itself: link profiles, keys, auditor wiring, generator,
+    // buses, nodes, state transfer. The empty rng label keeps the classic
+    // fork stream.
     ShardEnv env;
     env.sim = &sim_;
     env.net = &net_;
@@ -132,37 +112,10 @@ void Scenario::build() {
         config_.liveness->set_trace({config_.trace_sink, kNoNode, sim_.now_handle()});
         const Duration horizon = config_.warmup + config_.duration;
 
-        std::vector<faults::NodeDarkSpan> dark;
-        std::vector<std::pair<Duration, NodeId>> restarts = config_.restart_schedule;
-        std::sort(restarts.begin(), restarts.end());
-        std::vector<bool> restart_used(restarts.size(), false);
-        for (const auto& c : config_.crash_schedule) {
-            Duration to = horizon;
-            if (c.restart_after > Duration::zero()) {
-                to = c.at + c.restart_after;
-            } else {
-                for (std::size_t r = 0; r < restarts.size(); ++r) {
-                    if (!restart_used[r] && restarts[r].second == c.node &&
-                        restarts[r].first > c.at) {
-                        restart_used[r] = true;
-                        to = restarts[r].first;
-                        break;
-                    }
-                }
-            }
-            dark.push_back({c.node, c.at, to});
-        }
-        std::vector<faults::UplinkDarkSpan> uplink;
-        for (const auto& flap : config_.link_flaps) {
-            if (flap.link == ScenarioConfig::LinkFlap::Link::kNode) {
-                // An asymmetric flap silences the node's votes just as
-                // thoroughly as a full partition: still a dark span.
-                dark.push_back({flap.node, flap.at, flap.at + flap.duration});
-            } else {
-                uplink.push_back({flap.at, flap.at + flap.duration});
-            }
-        }
-        config_.liveness->set_schedule(std::move(dark), std::move(uplink), horizon);
+        FaultPlan::DownSpans spans = config_.down_spans(horizon);
+        std::vector<faults::NodeDarkSpan> dark = std::move(spans.crashed);
+        dark.insert(dark.end(), spans.isolated.begin(), spans.isolated.end());
+        config_.liveness->set_schedule(std::move(dark), std::move(spans.uplink), horizon);
         sim_.schedule(config_.liveness_period, [this] { liveness_tick(); });
     }
 
@@ -170,41 +123,13 @@ void Scenario::build() {
     for (std::uint32_t d = 0; d < config_.dc_count; ++d) {
         dcs_.push_back(
             std::make_unique<DataCenterHost>(d, *this, shard_->generated_dc_keys()[d]));
-        net_.attach(kDcBase + d, dcs_.back().get());
-        dcs_.back()->dc().set_trace(config_.trace_sink, kDcBase + d);
+        net_.attach(kDcEndpointBase + d, dcs_.back().get());
+        dcs_.back()->dc().set_trace(config_.trace_sink, kDcEndpointBase + d);
     }
 
-    // Fault schedules: crashes (optionally auto-restarting), explicit
-    // restarts, and link flaps.
-    for (const auto& c : config_.crash_schedule) {
-        const NodeId id = c.node;
-        sim_.schedule(c.at, [this, id] { crash_node(id); });
-        if (c.restart_after > Duration::zero()) {
-            sim_.schedule(c.at + c.restart_after, [this, id] { restart_node(id); });
-        }
-    }
-    for (const auto& [when, id] : config_.restart_schedule) {
-        const NodeId node = id;
-        sim_.schedule(when, [this, node] { restart_node(node); });
-    }
-    for (const auto& flap : config_.link_flaps) {
-        sim_.schedule(flap.at, [this, flap] { apply_flap(flap, true); });
-        sim_.schedule(flap.at + flap.duration, [this, flap] { apply_flap(flap, false); });
-    }
-
-    // Gray degradation ramps install up front: the LinkRamp start time is
-    // absolute, so the network computes the drift lazily per send.
-    for (const auto& r : config_.egress_ramps) {
-        net::LinkRamp ramp;
-        ramp.start = TimePoint{r.at.count()};
-        ramp.duration = r.ramp;
-        ramp.bandwidth_scale_end = r.bandwidth_scale_end;
-        ramp.latency_scale_end = r.latency_scale_end;
-        ramp.loss_end = r.loss_end;
-        ramp.hold = r.hold;
-        net_.set_egress_ramp(r.node, ramp);
-    }
-
+    // The fault plan goes onto the clock after the DCs and before the bus
+    // master starts (the event queue breaks time ties by insertion order).
+    shard_->schedule_faults();
     shard_->start();
     sim_.schedule(config_.mem_sample_period, [this] { sample_memory(); });
     sim_.schedule(config_.warmup, [this] { start_measuring(); });
@@ -218,43 +143,6 @@ void Scenario::build() {
                 : config_.timeseries_sample_cycles;
         health_period_ = config_.bus_cycle * std::max<std::uint32_t>(1, cycles);
         sim_.schedule(health_period_, [this] { sample_health(); });
-    }
-}
-
-void Scenario::crash_node(NodeId id) { shard_->crash_node(id); }
-
-void Scenario::restart_node(NodeId id) { shard_->restart_node(id); }
-
-void Scenario::apply_flap(const ScenarioConfig::LinkFlap& flap, bool blocked) {
-    if (flap.link == ScenarioConfig::LinkFlap::Link::kLte) {
-        // The whole LTE uplink: every node <-> data-center pair.
-        for (std::uint32_t i = 0; i < config_.n; ++i) {
-            for (std::uint32_t d = 0; d < config_.dc_count; ++d) {
-                net_.set_blocked(i, kDcBase + d, blocked);
-                net_.set_blocked(kDcBase + d, i, blocked);
-            }
-        }
-    } else {
-        // Transient partition: one node cut off from peers and DCs. An
-        // asymmetric flap cuts only the node's outbound direction (dead
-        // TX): it keeps hearing the cluster but nobody hears it.
-        for (std::uint32_t i = 0; i < config_.n; ++i) {
-            if (i == flap.node) continue;
-            net_.set_blocked(flap.node, i, blocked);
-            if (!flap.asymmetric) net_.set_blocked(i, flap.node, blocked);
-        }
-        for (std::uint32_t d = 0; d < config_.dc_count; ++d) {
-            net_.set_blocked(flap.node, kDcBase + d, blocked);
-            if (!flap.asymmetric) net_.set_blocked(kDcBase + d, flap.node, blocked);
-        }
-    }
-    if (config_.trace_sink != nullptr) {
-        const NodeId who =
-            flap.link == ScenarioConfig::LinkFlap::Link::kLte ? kNoNode : flap.node;
-        config_.trace_sink->event(who, sim_.now(),
-                                  blocked ? trace::Phase::kLinkDown : trace::Phase::kLinkUp,
-                                  static_cast<std::uint64_t>(who),
-                                  static_cast<std::uint64_t>(flap.duration.count()));
     }
 }
 

@@ -16,13 +16,18 @@
 #include "faults/liveness.hpp"
 #include "health/monitor.hpp"
 #include "health/timeseries.hpp"
+#include "runtime/fault_plan.hpp"
 #include "runtime/node.hpp"
 #include "runtime/train_shard.hpp"
 #include "train/generator.hpp"
 
 namespace zc::runtime {
 
-struct ScenarioConfig {
+/// A single consist's configuration. It *is* a FaultPlan (rather than
+/// holding one) so the schedules stay plain fields of the config:
+/// `cfg.crash_schedule.emplace_back(...)` reads the same in every harness,
+/// and the consist's TrainShard drives them from its config copy.
+struct ScenarioConfig : FaultPlan {
     Mode mode = Mode::kZugChain;
     std::uint32_t n = 4;
     std::uint32_t f = 1;
@@ -77,78 +82,8 @@ struct ScenarioConfig {
 
     std::map<NodeId, ByzantineBehavior> byzantine;
 
-    /// Crash (power loss) schedule. `restart_after > 0` reboots the node
-    /// that long after the crash; 0 leaves it down (fail-stop).
-    struct CrashEntry {
-        Duration at{0};
-        NodeId node = 0;
-        Duration restart_after{0};
-
-        CrashEntry() = default;
-        CrashEntry(Duration at, NodeId node, Duration restart_after = Duration{0})
-            : at(at), node(node), restart_after(restart_after) {}
-    };
-    std::vector<CrashEntry> crash_schedule;
-
-    /// Explicit restarts (for nodes crashed without `restart_after`).
-    std::vector<std::pair<Duration, NodeId>> restart_schedule;
-
-    /// Timed link outages: an LTE uplink dropping for minutes during an
-    /// export, or one node transiently partitioned from its peers.
-    struct LinkFlap {
-        enum class Link { kLte, kNode };
-        Duration at{0};
-        Duration duration{seconds(30)};
-        Link link = Link::kLte;
-        NodeId node = 0;  ///< isolated node (Link::kNode only)
-
-        /// Asymmetric (gray) partition: only the node's *outbound* links
-        /// are cut — it keeps hearing the cluster but nobody hears it
-        /// (a dead TX amplifier). kNode only; kLte flaps ignore it.
-        bool asymmetric = false;
-    };
-    std::vector<LinkFlap> link_flaps;
-
-    /// Gray degradation ramps: from `at`, the node's egress drifts
-    /// linearly over `ramp` toward the scaled end state (bandwidth and
-    /// latency multipliers, added loss), then holds or recovers — a
-    /// corroding connector or congested cell, not a clean outage.
-    struct EgressRamp {
-        Duration at{0};
-        Duration ramp{seconds(60)};
-        NodeId node = 0;
-        double bandwidth_scale_end = 1.0;
-        double latency_scale_end = 1.0;
-        double loss_end = 0.0;
-        bool hold = true;
-    };
-    std::vector<EgressRamp> egress_ramps;
-
-    /// Timetable-driven telegram-rate windows: between `at` and
-    /// `at + duration` the bus master polls at `cycle_scale` x the base
-    /// cycle (clamped to the MVB minimum period). `< 1` models a station
-    /// dwell (denser consolidation bursts while doors cycle and the ATP
-    /// chatters), `> 1` a depot layover trickle. Windows must not
-    /// overlap; the base cycle is restored when a window closes.
-    struct RateWindow {
-        Duration at{0};
-        Duration duration{seconds(60)};
-        double cycle_scale = 1.0;
-
-        RateWindow() = default;
-        RateWindow(Duration at, Duration duration, double cycle_scale)
-            : at(at), duration(duration), cycle_scale(cycle_scale) {}
-    };
-    std::vector<RateWindow> rate_windows;
-
-    /// Per-node virtual-CPU degradation: cost-model multiplier applied to
-    /// every sign/verify/codec/store charge of that node (> 1 = slower
-    /// device — a throttled or constrained replica, per the
-    /// PBFT-for-IoT measurements). Absent nodes run the nominal table.
-    std::map<NodeId, double> cpu_profiles;
-
-    /// Skips the up-front fault-schedule validation (see
-    /// runtime/validate.hpp) for harnesses that deliberately exceed the
+    /// Skips the up-front fault-plan validation (validate_faults in
+    /// runtime/fault_plan.hpp) for harnesses that deliberately exceed the
     /// f-crash availability budget, e.g. the crash-investigation example
     /// that kills a majority on purpose.
     bool allow_unsafe_chaos = false;
@@ -260,12 +195,6 @@ public:
 
     Node& node(std::size_t i) { return shard_->node(i); }
     std::size_t node_count() const noexcept { return shard_->node_count(); }
-
-    /// Crashes / restarts a node immediately (same path the schedules
-    /// use). Restart picks the highest view among the surviving replicas
-    /// as the rejoin view hint and re-wires state transfer.
-    void crash_node(NodeId id);
-    void restart_node(NodeId id);
 
     /// Successful state-transfer fetches (and blocks copied) so far.
     std::uint64_t state_transfer_fetches() const noexcept {

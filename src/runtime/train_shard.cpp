@@ -31,6 +31,23 @@ void TrainShard::build() {
     sim::Simulation& sim = *env_.sim;
     const ScenarioConfig& cfg = *config_;
 
+    // Network topology: full mesh of train Ethernet between nodes; LTE
+    // between train and data centers; fast interconnect between DCs.
+    // (Profile setup consumes no randomness, so it can precede the keys.)
+    net::Network& net = *env_.net;
+    net.set_default_profile(cfg.train_link);
+    for (std::uint32_t i = 0; i < cfg.n; ++i) {
+        for (std::uint32_t d = 0; d < cfg.dc_count; ++d) {
+            net.set_profile(i, kDcEndpointBase + d, cfg.lte_link);
+            net.set_profile(kDcEndpointBase + d, i, cfg.lte_link);
+        }
+    }
+    for (std::uint32_t a = 0; a < cfg.dc_count; ++a) {
+        for (std::uint32_t b = 0; b < cfg.dc_count; ++b) {
+            if (a != b) net.set_profile(kDcEndpointBase + a, kDcEndpointBase + b, cfg.dc_link);
+        }
+    }
+
     // Keys for nodes and data centers (the permissioned membership). The
     // fork label is prefixed per shard so a fleet's shards draw
     // decorrelated key streams; the empty prefix reproduces the classic
@@ -131,7 +148,6 @@ void TrainShard::build() {
                 std::make_unique<metrics::CostModel>(node_costs_.scaled(profile->second)));
             costs = degraded_costs_.back().get();
         }
-        node_cost_tables_.push_back(costs);
 
         nodes_.push_back(std::make_unique<Node>(opts, sim, *env_.net, *env_.provider,
                                                 directory_, node_keys[i], *costs));
@@ -162,6 +178,73 @@ void TrainShard::build() {
     }
 
     for (auto& node : nodes_) install_state_fetcher(*node);
+}
+
+void TrainShard::schedule_faults() {
+    sim::Simulation& sim = *env_.sim;
+    const ScenarioConfig& cfg = *config_;
+    for (const auto& c : cfg.crash_schedule) {
+        const NodeId id = c.node;
+        sim.schedule(c.at, [this, id] { crash_node(id); });
+        if (c.restart_after > Duration::zero()) {
+            sim.schedule(c.at + c.restart_after, [this, id] { restart_node(id); });
+        }
+    }
+    for (const auto& [when, id] : cfg.restart_schedule) {
+        const NodeId node = id;
+        sim.schedule(when, [this, node] { restart_node(node); });
+    }
+    for (const auto& flap : cfg.link_flaps) {
+        sim.schedule(flap.at, [this, flap] { apply_flap(flap, true); });
+        sim.schedule(flap.at + flap.duration, [this, flap] { apply_flap(flap, false); });
+    }
+
+    // Gray degradation ramps install up front: the LinkRamp start time is
+    // absolute, so the network computes the drift lazily per send.
+    for (const auto& r : cfg.egress_ramps) {
+        net::LinkRamp ramp;
+        ramp.start = TimePoint{r.at.count()};
+        ramp.duration = r.ramp;
+        ramp.bandwidth_scale_end = r.bandwidth_scale_end;
+        ramp.latency_scale_end = r.latency_scale_end;
+        ramp.loss_end = r.loss_end;
+        ramp.hold = r.hold;
+        env_.net->set_egress_ramp(r.node, ramp);
+    }
+}
+
+void TrainShard::apply_flap(const FaultPlan::LinkFlap& flap, bool blocked) {
+    const ScenarioConfig& cfg = *config_;
+    net::Network& net = *env_.net;
+    if (flap.link == FaultPlan::LinkFlap::Link::kLte) {
+        // The whole LTE uplink (a tunnel: the consist's dead zone).
+        for (std::uint32_t i = 0; i < cfg.n; ++i) {
+            for (std::uint32_t d = 0; d < cfg.dc_count; ++d) {
+                net.set_blocked(i, kDcEndpointBase + d, blocked);
+                net.set_blocked(kDcEndpointBase + d, i, blocked);
+            }
+        }
+    } else {
+        // Transient partition: one node cut off from peers and DCs. An
+        // asymmetric flap cuts only the node's outbound direction (dead
+        // TX): it keeps hearing the cluster but nobody hears it.
+        for (std::uint32_t i = 0; i < cfg.n; ++i) {
+            if (i == flap.node) continue;
+            net.set_blocked(flap.node, i, blocked);
+            if (!flap.asymmetric) net.set_blocked(i, flap.node, blocked);
+        }
+        for (std::uint32_t d = 0; d < cfg.dc_count; ++d) {
+            net.set_blocked(flap.node, kDcEndpointBase + d, blocked);
+            if (!flap.asymmetric) net.set_blocked(kDcEndpointBase + d, flap.node, blocked);
+        }
+    }
+    if (cfg.trace_sink != nullptr) {
+        const NodeId who = flap.link == FaultPlan::LinkFlap::Link::kLte ? kNoNode : flap.node;
+        cfg.trace_sink->event(who, env_.sim->now(),
+                              blocked ? trace::Phase::kLinkDown : trace::Phase::kLinkUp,
+                              static_cast<std::uint64_t>(who),
+                              static_cast<std::uint64_t>(flap.duration.count()));
+    }
 }
 
 void TrainShard::start() { bus_->start(); }

@@ -1,8 +1,10 @@
 // One consist's complete on-train rig, reusable across harnesses: the
-// permissioned key membership, ATP signal generator, MVB-like bus (plus
-// optional extra input buses), the n ZugChain nodes with their protocol
-// stacks, validated state-transfer wiring between them, and crash/restart
-// control.
+// consist network's link profiles, the permissioned key membership, ATP
+// signal generator, MVB-like bus (plus optional extra input buses), the n
+// ZugChain nodes with their protocol stacks, validated state-transfer
+// wiring between them, crash/restart control, and the consist's fault
+// plan (runtime/fault_plan.hpp): crashes, restarts, link flaps, egress
+// ramps, rate windows and CPU profiles all run here.
 //
 // runtime::Scenario composes exactly one TrainShard with data centers and
 // measurement (the paper's single-consist testbed); fleet::Fleet composes
@@ -17,12 +19,17 @@
 
 #include "crypto/context.hpp"
 #include "health/monitor.hpp"
+#include "runtime/fault_plan.hpp"
 #include "runtime/node.hpp"
 #include "train/generator.hpp"
 
 namespace zc::runtime {
 
 struct ScenarioConfig;  // defined in runtime/scenario.hpp
+
+/// Network endpoint of data center d on a consist network: 100 + d
+/// (replicas are 0..n-1). Trace pids use the same numbering.
+inline constexpr net::EndpointId kDcEndpointBase = 100;
 
 /// The substrate one shard plugs into. In a fleet every shard shares the
 /// simulation (one virtual clock) but owns its network; the harness picks
@@ -51,8 +58,16 @@ public:
     TrainShard(const TrainShard&) = delete;
     TrainShard& operator=(const TrainShard&) = delete;
 
+    /// Puts the config's crash, restart and link-flap schedules on the
+    /// virtual clock and installs its egress ramps (rate windows and CPU
+    /// profiles were applied at construction). Call once, after the
+    /// harness attached its data centers and before start(): the event
+    /// queue breaks time ties by insertion order, so this position is
+    /// part of the replay.
+    void schedule_faults();
+
     /// Starts the main bus master (extra buses start at construction, as
-    /// the classic build order did). Call after fault schedules are wired.
+    /// the classic build order did). Call after schedule_faults().
     void start();
 
     Node& node(std::size_t i) { return *nodes_.at(i); }
@@ -78,15 +93,6 @@ public:
 
     crypto::KeyDirectory& directory() noexcept { return directory_; }
 
-    /// The nominal device cost table. Nodes named in
-    /// `ScenarioConfig::cpu_profiles` charge a scaled copy instead (a
-    /// degraded / constrained device); see node_cost_model().
-    const metrics::CostModel& node_costs() const noexcept { return node_costs_; }
-
-    /// The cost table node `i` actually charges (nominal or degraded).
-    const metrics::CostModel& node_cost_model(std::size_t i) const {
-        return *node_cost_tables_.at(i);
-    }
     bus::Bus& train_bus() noexcept { return *bus_; }
     net::Network& network() noexcept { return *env_.net; }
 
@@ -104,18 +110,23 @@ private:
 
     void build();
     void install_state_fetcher(Node& node);
+    /// Blocks (or reopens) the links a flap cuts: for kLte every
+    /// node <-> data-center pair, for kNode the node's links to its peers
+    /// and the DCs (outbound only when asymmetric). Emits the link trace
+    /// event.
+    void apply_flap(const FaultPlan::LinkFlap& flap, bool blocked);
 
     const ScenarioConfig& config() const noexcept { return *config_; }
 
     std::unique_ptr<ScenarioConfig> config_;  ///< shard-local copy
     ShardEnv env_;
     crypto::KeyDirectory directory_;
+    /// The nominal device cost table. Nodes named in the plan's
+    /// `cpu_profiles` charge an owned scaled copy instead (a degraded /
+    /// constrained device; stable addresses — Node holds a reference for
+    /// its lifetime).
     metrics::CostModel node_costs_;
-    /// Per-node cost tables: points at node_costs_ for nominal nodes, at
-    /// an owned scaled copy for degraded ones (stable addresses — Node
-    /// holds a reference for its lifetime).
     std::vector<std::unique_ptr<metrics::CostModel>> degraded_costs_;
-    std::vector<const metrics::CostModel*> node_cost_tables_;
     std::vector<crypto::KeyPair> dc_keys_;
     std::unique_ptr<train::SignalGenerator> generator_;
     std::unique_ptr<bus::Bus> bus_;

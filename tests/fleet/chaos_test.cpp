@@ -6,59 +6,128 @@
 namespace zc::fleet {
 namespace {
 
-TEST(FleetChaos, EmptyByDefault) {
-    FleetChaos chaos;
-    EXPECT_TRUE(chaos.empty());
+using LinkFlap = runtime::FaultPlan::LinkFlap;
+
+TEST(FleetFaults, MergeAppendsPerTrainAndOutages) {
+    FleetFaults a = staggered_drill(4, 2, seconds(30));
+    const FleetFaults b = staggered_drill(4, 2, seconds(30));
+    const std::size_t crashes0 = a.trains[0].crash_schedule.size();
+    a.merge(b);
+    EXPECT_EQ(a.trains[0].crash_schedule.size(), 2 * crashes0);
+    EXPECT_EQ(a.dc_outages.size(), 2u);
 }
 
-TEST(FleetChaos, StaggeredCrashesAllRestartWithinRun) {
+TEST(FleetFaults, FleetRejectsAFaultPlanInTheTemplate) {
+    // Per-train faults belong in FleetConfig::faults; a template schedule
+    // used to be dropped silently.
+    FleetConfig cfg;
+    cfg.trains = 2;
+    cfg.train.crash_schedule.emplace_back(seconds(4), 1);
+    EXPECT_THROW(Fleet{cfg}, std::invalid_argument);
+}
+
+TEST(FleetFaults, FleetRejectsDeadZoneOverlappingATunnel) {
+    FleetConfig cfg;
+    cfg.trains = 3;
+    cfg.faults = staggered_drill(3, 2, cfg.warmup + cfg.duration);
+    const LinkFlap zone = cfg.faults.trains.at(0).link_flaps.at(0);
+    FleetFaults journey;  // a tunnel that starts inside the drill's dead zone
+    LinkFlap tunnel;
+    tunnel.link = LinkFlap::Link::kLte;
+    tunnel.at = zone.at + seconds(1);
+    tunnel.duration = seconds(5);
+    journey.trains[0].link_flaps.push_back(tunnel);
+    cfg.faults.merge(journey);
+    try {
+        Fleet fleet(cfg);
+        FAIL() << "overlapping uplink flaps of one train must be rejected";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("overlap"), std::string::npos) << e.what();
+    }
+}
+
+TEST(FleetFaults, FleetRejectsIdsOutOfRange) {
+    FleetConfig cfg;
+    cfg.trains = 2;
+    cfg.dc_count = 2;
+    FleetConfig bad_train = cfg;
+    bad_train.faults.trains[2].crash_schedule.emplace_back(seconds(4), 1, seconds(2));
+    EXPECT_THROW(Fleet{bad_train}, std::invalid_argument);
+    FleetConfig bad_node = cfg;
+    bad_node.faults.trains[1].crash_schedule.emplace_back(seconds(4), 7, seconds(2));
+    EXPECT_THROW(Fleet{bad_node}, std::invalid_argument);
+    FleetConfig bad_dc = cfg;
+    bad_dc.faults.dc_outages.push_back({2, seconds(4), seconds(2)});
+    EXPECT_THROW(Fleet{bad_dc}, std::invalid_argument);
+}
+
+/// The drill's crashes, flattened as (train, entry) in train order.
+std::vector<std::pair<TrainId, runtime::FaultPlan::CrashEntry>> crashes_of(
+    const FleetFaults& faults) {
+    std::vector<std::pair<TrainId, runtime::FaultPlan::CrashEntry>> out;
+    for (const auto& [t, plan] : faults.trains) {
+        for (const auto& c : plan.crash_schedule) out.emplace_back(t, c);
+    }
+    return out;
+}
+
+TEST(StaggeredDrill, StaggeredCrashesAllRestartWithinRun) {
     const Duration run = seconds(40);
-    const FleetChaos chaos = FleetChaos::staggered(8, 2, run);
-    EXPECT_FALSE(chaos.empty());
-    ASSERT_FALSE(chaos.crashes.empty());
-    for (const auto& c : chaos.crashes) {
-        EXPECT_LT(c.train, 8u);
+    const FleetFaults drill = staggered_drill(8, 2, run);
+    const auto crashes = crashes_of(drill);
+    ASSERT_FALSE(crashes.empty());
+    for (const auto& [train, c] : crashes) {
+        EXPECT_LT(train, 8u);
         EXPECT_LT(c.node, 4u);
         EXPECT_GT(c.restart_after, Duration::zero()) << "standard drill always restarts";
         EXPECT_LT(c.at + c.restart_after, run) << "rejoin must fit inside the run";
     }
 }
 
-TEST(FleetChaos, StaggeredCrashTimesAreDistinct) {
-    const FleetChaos chaos = FleetChaos::staggered(16, 2, seconds(60));
-    for (std::size_t i = 1; i < chaos.crashes.size(); ++i) {
-        EXPECT_LT(chaos.crashes[i - 1].at, chaos.crashes[i].at);
+TEST(StaggeredDrill, StaggeredCrashTimesAreDistinct) {
+    const auto crashes = crashes_of(staggered_drill(16, 2, seconds(60)));
+    for (std::size_t i = 1; i < crashes.size(); ++i) {
+        EXPECT_LT(crashes[i - 1].second.at, crashes[i].second.at);
     }
 }
 
-TEST(FleetChaos, DeadZonesCoverEveryThirdTrain) {
-    const FleetChaos chaos = FleetChaos::staggered(9, 1, seconds(30));
-    ASSERT_EQ(chaos.dead_zones.size(), 3u);
-    EXPECT_EQ(chaos.dead_zones[0].train, 0u);
-    EXPECT_EQ(chaos.dead_zones[1].train, 3u);
-    EXPECT_EQ(chaos.dead_zones[2].train, 6u);
-    for (const auto& z : chaos.dead_zones) {
-        EXPECT_GT(z.duration, Duration::zero());
-        EXPECT_LT(z.at + z.duration, seconds(30));
+TEST(StaggeredDrill, DeadZonesCoverEveryThirdTrain) {
+    const FleetFaults drill = staggered_drill(9, 1, seconds(30));
+    std::vector<TrainId> dark;
+    for (const auto& [t, plan] : drill.trains) {
+        for (const auto& flap : plan.link_flaps) {
+            EXPECT_EQ(flap.link, LinkFlap::Link::kLte) << "a dead zone is an uplink flap";
+            EXPECT_GT(flap.duration, Duration::zero());
+            EXPECT_LT(flap.at + flap.duration, seconds(30));
+            dark.push_back(t);
+        }
+    }
+    EXPECT_EQ(dark, (std::vector<TrainId>{0, 3, 6}));
+}
+
+TEST(StaggeredDrill, DcOutageOnlyWithFailoverTarget) {
+    EXPECT_TRUE(staggered_drill(4, 1, seconds(30)).dc_outages.empty());
+    const FleetFaults drill = staggered_drill(4, 2, seconds(30));
+    ASSERT_EQ(drill.dc_outages.size(), 1u);
+    EXPECT_EQ(drill.dc_outages[0].dc, 0u);
+    EXPECT_GT(drill.dc_outages[0].duration, Duration::zero()) << "standard drill recovers";
+}
+
+TEST(StaggeredDrill, DeterministicForSameInputs) {
+    const auto a = crashes_of(staggered_drill(12, 2, seconds(45)));
+    const auto b = crashes_of(staggered_drill(12, 2, seconds(45)));
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].first, b[i].first);
+        EXPECT_EQ(a[i].second.node, b[i].second.node);
+        EXPECT_EQ(a[i].second.at, b[i].second.at);
     }
 }
 
-TEST(FleetChaos, DcOutageOnlyWithFailoverTarget) {
-    EXPECT_TRUE(FleetChaos::staggered(4, 1, seconds(30)).dc_outages.empty());
-    const FleetChaos chaos = FleetChaos::staggered(4, 2, seconds(30));
-    ASSERT_EQ(chaos.dc_outages.size(), 1u);
-    EXPECT_EQ(chaos.dc_outages[0].dc, 0u);
-    EXPECT_GT(chaos.dc_outages[0].duration, Duration::zero()) << "standard drill recovers";
-}
-
-TEST(FleetChaos, DeterministicForSameInputs) {
-    const FleetChaos a = FleetChaos::staggered(12, 2, seconds(45));
-    const FleetChaos b = FleetChaos::staggered(12, 2, seconds(45));
-    ASSERT_EQ(a.crashes.size(), b.crashes.size());
-    for (std::size_t i = 0; i < a.crashes.size(); ++i) {
-        EXPECT_EQ(a.crashes[i].train, b.crashes[i].train);
-        EXPECT_EQ(a.crashes[i].node, b.crashes[i].node);
-        EXPECT_EQ(a.crashes[i].at, b.crashes[i].at);
+TEST(StaggeredDrill, EveryTrainPlanPassesTheValidator) {
+    const FleetFaults drill = staggered_drill(16, 2, seconds(27));
+    for (const auto& [t, plan] : drill.trains) {
+        EXPECT_EQ(runtime::validate_faults(plan, 4, 1), std::nullopt) << "train " << t;
     }
 }
 
@@ -80,10 +149,11 @@ TEST(GrayChaos, LimpingVictimIsTheViewZeroPrimary) {
     opts.flapping = 0;
     opts.creeps = 0;
     const CompiledGray gray = compile_gray(opts);
-    ASSERT_EQ(gray.trains.size(), 1u);
-    ASSERT_EQ(gray.trains[0].cpu_profiles.size(), 1u);
-    EXPECT_EQ(gray.trains[0].cpu_profiles.begin()->first, 0u);
-    EXPECT_DOUBLE_EQ(gray.trains[0].cpu_profiles.begin()->second, opts.limp_factor);
+    ASSERT_EQ(gray.faults.trains.size(), 1u);
+    const runtime::FaultPlan& plan = gray.faults.trains.at(0);
+    ASSERT_EQ(plan.cpu_profiles.size(), 1u);
+    EXPECT_EQ(plan.cpu_profiles.begin()->first, 0u);
+    EXPECT_DOUBLE_EQ(plan.cpu_profiles.begin()->second, opts.limp_factor);
     ASSERT_EQ(gray.instances.size(), 1u);
     EXPECT_EQ(gray.instances[0].kind, GrayKind::kLimpingNode);
 }
@@ -93,10 +163,10 @@ TEST(GrayChaos, FlapsAreAsymmetricAndInsideTheActiveWindow) {
     opts.limping = 0;
     opts.creeps = 0;
     const CompiledGray gray = compile_gray(opts);
-    ASSERT_FALSE(gray.trains[0].link_flaps.empty());
-    for (const auto& flap : gray.trains[0].link_flaps) {
+    ASSERT_FALSE(gray.faults.trains.at(0).link_flaps.empty());
+    for (const auto& flap : gray.faults.trains.at(0).link_flaps) {
         EXPECT_TRUE(flap.asymmetric);
-        EXPECT_EQ(flap.link, runtime::ScenarioConfig::LinkFlap::Link::kNode);
+        EXPECT_EQ(flap.link, LinkFlap::Link::kNode);
         EXPECT_GE(flap.at, opts.warmup + seconds(2));
         EXPECT_LE(flap.at + flap.duration, opts.horizon - seconds(2));
     }
@@ -105,29 +175,73 @@ TEST(GrayChaos, FlapsAreAsymmetricAndInsideTheActiveWindow) {
 TEST(GrayChaos, VictimsNeverLandOnByzantineNodes) {
     GrayChaosOptions opts = gray_defaults();
     opts.byzantine[0] = {0, 1};
-    const CompiledGray gray = compile_gray(opts);
-    for (const auto& [node, factor] : gray.trains[0].cpu_profiles) {
+    const runtime::FaultPlan plan = compile_gray(opts).faults.trains.at(0);
+    for (const auto& [node, factor] : plan.cpu_profiles) {
         EXPECT_GE(node, 2u) << "limping victim must dodge the Byzantine set";
     }
-    for (const auto& flap : gray.trains[0].link_flaps) EXPECT_GE(flap.node, 2u);
-    for (const auto& ramp : gray.trains[0].egress_ramps) EXPECT_GE(ramp.node, 2u);
+    for (const auto& flap : plan.link_flaps) EXPECT_GE(flap.node, 2u);
+    for (const auto& ramp : plan.egress_ramps) EXPECT_GE(ramp.node, 2u);
 }
 
 TEST(GrayChaos, AvoidSpansSuppressOverlappingFlaps) {
-    GrayChaosOptions base = gray_defaults();
-    base.limping = 0;
-    base.creeps = 0;
-    const CompiledGray unconstrained = compile_gray(base);
-    ASSERT_FALSE(unconstrained.trains[0].link_flaps.empty());
-    const NodeId victim = unconstrained.trains[0].link_flaps.front().node;
+    GrayChaosOptions opts = gray_defaults();
+    opts.limping = 0;
+    const runtime::FaultPlan unconstrained = compile_gray(opts).faults.trains.at(0);
+    ASSERT_FALSE(unconstrained.link_flaps.empty());
+    ASSERT_FALSE(unconstrained.egress_ramps.empty());
+    const NodeId victim = unconstrained.link_flaps.front().node;
+    const NodeId creeper = unconstrained.egress_ramps.front().node;
 
-    GrayChaosOptions opts = base;
-    // Declare the whole horizon a down-span for the victim: every flap on
-    // it must be suppressed (same seed, so placement would match).
-    opts.avoid.push_back({0, victim, Duration{0}, opts.horizon});
-    const CompiledGray gray = compile_gray(opts);
-    for (const auto& flap : gray.trains[0].link_flaps) {
-        EXPECT_NE(flap.node, victim);
+    // A base plan that holds the flap victim down for the whole horizon
+    // (fail-stop) and partitions the creep victim: same seed, so placement
+    // would match, but every flap and ramp on those nodes is suppressed.
+    FleetFaults base;
+    base.trains[0].crash_schedule.emplace_back(Duration{0}, victim);
+    LinkFlap cut;
+    cut.link = LinkFlap::Link::kNode;
+    cut.node = creeper;
+    cut.at = Duration{0};
+    cut.duration = opts.horizon;
+    base.trains[0].link_flaps.push_back(cut);
+    const runtime::FaultPlan gray = compile_gray(opts, base).faults.trains.at(0);
+    for (const auto& flap : gray.link_flaps) EXPECT_NE(flap.node, victim);
+    for (const auto& ramp : gray.egress_ramps) EXPECT_NE(ramp.node, creeper);
+}
+
+TEST(GrayChaos, ClearsTheStaggeredDrillOnEverySeed) {
+    // The composition zugchain_sim runs for --fleet 8 --fleet-chaos
+    // --gray mixed --duration-s 25: without the base plan the flaps land
+    // on drill-crashed nodes on most seeds.
+    FleetConfig cfg;
+    cfg.trains = 8;
+    cfg.duration = seconds(25);
+    const Duration run = cfg.warmup + cfg.duration;
+    const FleetFaults drill = staggered_drill(8, 2, run);
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        GrayChaosOptions opts = gray_defaults();
+        opts.trains = 8;
+        opts.seed = seed;
+        opts.warmup = cfg.warmup;
+        opts.horizon = run;
+        FleetFaults merged = drill;
+        merged.merge(compile_gray(opts, drill).faults);
+        cfg.seed = seed;
+        cfg.faults = merged;
+        EXPECT_NO_THROW(Fleet{cfg}) << "seed " << seed;
+        for (const auto& [t, plan] : merged.trains) {
+            const auto spans = plan.down_spans(run);
+            for (const auto& flap : plan.link_flaps) {
+                if (flap.link != LinkFlap::Link::kNode) continue;
+                for (const auto& down : spans.crashed) {
+                    EXPECT_FALSE(down.node == flap.node && down.from < flap.at + flap.duration &&
+                                 flap.at < down.to)
+                        << "seed " << seed << " train " << t << ": flap on crashed node "
+                        << flap.node;
+                }
+            }
+            EXPECT_EQ(runtime::validate_faults(plan, opts.n, opts.f), std::nullopt)
+                << "seed " << seed << " train " << t;
+        }
     }
 }
 
@@ -152,30 +266,33 @@ TEST(GrayChaos, DeterministicInSeedAndSensitiveToIt) {
 
 TEST(GrayChaos, ApplyToScenarioAppendsInsteadOfOverwriting) {
     const CompiledGray gray = compile_gray(gray_defaults());
+    const runtime::FaultPlan& plan = gray.faults.trains.at(0);
     runtime::ScenarioConfig cfg;
-    runtime::ScenarioConfig::LinkFlap existing;
+    LinkFlap existing;
     existing.at = seconds(1);
     existing.duration = seconds(1);
-    existing.link = runtime::ScenarioConfig::LinkFlap::Link::kLte;
+    existing.link = LinkFlap::Link::kLte;
     cfg.link_flaps.push_back(existing);
-    apply(gray, cfg);
-    EXPECT_EQ(cfg.link_flaps.size(), 1u + gray.trains[0].link_flaps.size());
-    EXPECT_EQ(cfg.link_flaps.front().link, runtime::ScenarioConfig::LinkFlap::Link::kLte);
-    EXPECT_EQ(cfg.egress_ramps.size(), gray.trains[0].egress_ramps.size());
-    EXPECT_EQ(cfg.cpu_profiles.size(), gray.trains[0].cpu_profiles.size());
+    cfg.merge(plan);
+    EXPECT_EQ(cfg.link_flaps.size(), 1u + plan.link_flaps.size());
+    EXPECT_EQ(cfg.link_flaps.front().link, LinkFlap::Link::kLte);
+    EXPECT_EQ(cfg.egress_ramps.size(), plan.egress_ramps.size());
+    EXPECT_EQ(cfg.cpu_profiles.size(), plan.cpu_profiles.size());
 }
 
-TEST(GrayChaos, ApplyToFleetMergesEveryTrainOverlay) {
+TEST(GrayChaos, MergeIntoFleetFaultsAppendsPerTrain) {
     GrayChaosOptions opts = gray_defaults();
     opts.trains = 3;
     const CompiledGray gray = compile_gray(opts);
-    FleetConfig cfg;
-    cfg.trains = 3;
-    apply(gray, cfg);
-    EXPECT_EQ(cfg.overlays.size(), 3u);
+    FleetFaults faults = staggered_drill(3, 2, opts.horizon);
+    const std::size_t drill_flaps = faults.trains[0].link_flaps.size();
+    faults.merge(gray.faults);
+    EXPECT_EQ(faults.trains.size(), 3u);
     for (TrainId t = 0; t < 3; ++t) {
-        EXPECT_EQ(cfg.overlays[t].link_flaps.size(), gray.trains[t].link_flaps.size());
-        EXPECT_EQ(cfg.overlays[t].cpu_profiles.size(), gray.trains[t].cpu_profiles.size());
+        const runtime::FaultPlan& g = gray.faults.trains.at(t);
+        EXPECT_EQ(faults.trains[t].link_flaps.size(),
+                  (t == 0 ? drill_flaps : 0u) + g.link_flaps.size());
+        EXPECT_EQ(faults.trains[t].cpu_profiles.size(), g.cpu_profiles.size());
     }
 }
 

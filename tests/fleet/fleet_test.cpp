@@ -151,11 +151,8 @@ TEST(Fleet, TampererShardNeverContaminatesSiblingsOrIndex) {
 TEST(Fleet, DcFailoverLosesNoExportedBlocks) {
     FleetConfig cfg = base_config(3);
     cfg.duration = seconds(16);
-    FleetChaos::DcOutage outage;
-    outage.dc = 0;
-    outage.at = seconds(7);
-    outage.duration = Duration::zero();  // permanent: DC 0 never returns
-    cfg.chaos.dc_outages.push_back(outage);
+    // Permanent: DC 0 never returns.
+    cfg.faults.dc_outages.push_back({0, seconds(7), Duration::zero()});
     Fleet fleet(cfg);
     fleet.run();
 
@@ -210,12 +207,7 @@ TEST(Fleet, DisklessRestartAfterPruneRebasesOntoAnchor) {
     cfg.duration = seconds(16);
     cfg.export_period = seconds(3);
     cfg.audit = true;
-    FleetChaos::TrainCrash crash;
-    crash.train = 0;
-    crash.node = 1;
-    crash.at = seconds(9);
-    crash.restart_after = seconds(2);
-    cfg.chaos.crashes.push_back(crash);
+    cfg.faults.trains[0].crash_schedule.emplace_back(seconds(9), 1, seconds(2));
     Fleet fleet(cfg);
     fleet.run();
 
@@ -234,7 +226,7 @@ TEST(Fleet, StaggeredChaosDrillSurvivesWithCleanAudit) {
     FleetConfig cfg = base_config(4);
     cfg.duration = seconds(20);
     cfg.audit = true;
-    cfg.chaos = FleetChaos::staggered(4, 2, cfg.warmup + cfg.duration);
+    cfg.faults = staggered_drill(4, 2, cfg.warmup + cfg.duration);
     Fleet fleet(cfg);
     fleet.run();
     const FleetReport report = fleet.report();

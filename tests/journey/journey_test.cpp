@@ -5,7 +5,7 @@
 
 #include "journey/compiler.hpp"
 #include "journey/journey.hpp"
-#include "runtime/validate.hpp"
+#include "runtime/scenario.hpp"
 
 namespace zc::journey {
 namespace {
@@ -129,14 +129,14 @@ TEST(JourneyCompiler, CompiledSingleConsistScheduleValidates) {
     CompilerOptions opts;
     opts.recipes = 3;
     const CompiledJourney compiled = compile(plan, opts);
-    ASSERT_EQ(compiled.overlays.size(), 1u);
-    EXPECT_TRUE(compiled.dc_outages.empty()) << "single mode folds DC outages";
+    ASSERT_EQ(compiled.faults.trains.size(), 1u);
+    EXPECT_TRUE(compiled.faults.dc_outages.empty()) << "single mode folds DC outages";
 
     runtime::ScenarioConfig cfg;
     cfg.n = opts.n;
     cfg.f = opts.f;
-    apply(compiled, cfg);
-    EXPECT_EQ(runtime::validate_scenario_faults(cfg), std::nullopt);
+    cfg.merge(compiled.faults.trains.at(0));
+    EXPECT_EQ(runtime::validate_faults(cfg, cfg.n, cfg.f), std::nullopt);
     EXPECT_FALSE(cfg.rate_windows.empty()) << "dwell/depot windows installed";
     EXPECT_FALSE(cfg.link_flaps.empty()) << "tunnel dead zones installed";
 }
@@ -147,20 +147,14 @@ TEST(JourneyCompiler, CompiledFleetSchedulesValidatePerTrain) {
     opts.fleet = true;
     opts.recipes = 6;  // two full cycles across three trains
     const CompiledJourney compiled = compile(plan, opts);
-    ASSERT_EQ(compiled.overlays.size(), plan.trains.size());
-    for (const auto& outage : compiled.dc_outages) {
+    ASSERT_EQ(compiled.faults.trains.size(), plan.trains.size());
+    for (const auto& outage : compiled.faults.dc_outages) {
         EXPECT_LT(outage.dc, opts.dc_count);
         EXPECT_GT(outage.duration, Duration::zero());
     }
-    for (const auto& overlay : compiled.overlays) {
-        runtime::ScenarioConfig cfg;
-        cfg.n = opts.n;
-        cfg.f = opts.f;
-        cfg.crash_schedule = overlay.crash_schedule;
-        cfg.restart_schedule = overlay.restart_schedule;
-        cfg.link_flaps = overlay.link_flaps;
-        cfg.rate_windows = overlay.rate_windows;
-        EXPECT_EQ(runtime::validate_scenario_faults(cfg), std::nullopt);
+    for (const auto& [train, train_plan] : compiled.faults.trains) {
+        EXPECT_EQ(runtime::validate_faults(train_plan, opts.n, opts.f), std::nullopt)
+            << "train " << train;
     }
 }
 
@@ -179,8 +173,8 @@ TEST(JourneyCompiler, ByzantinePopulationConsumesTheCrashBudget) {
     for (const RecipeInstance& r : compiled.recipes) {
         EXPECT_EQ(r.kind, RecipeKind::kDcOutageOverDeadZone) << r.describe();
     }
-    ASSERT_EQ(compiled.overlays.size(), 1u);
-    EXPECT_TRUE(compiled.overlays[0].crash_schedule.empty());
+    ASSERT_EQ(compiled.faults.trains.size(), 1u);
+    EXPECT_TRUE(compiled.faults.trains.at(0).crash_schedule.empty());
 }
 
 }  // namespace

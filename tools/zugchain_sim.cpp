@@ -20,7 +20,9 @@
 // --crypto, --store-dir (per-train subdirectories), --audit, --prof,
 // --fail-on-alarm, --json and --trace (one merged Perfetto/Chrome trace:
 // train t node i in pid band 1000*(t+1)+i, shared DCs at pid 100+d,
-// including DC ingest-queue and DC-to-DC sync spans), plus:
+// including DC ingest-queue and DC-to-DC sync spans). The single-consist
+// fault flags --crash, --flap, --crash-primary-at-s and --adversary apply
+// to train 0. Plus:
 //
 //   zugchain_sim --fleet N [--fleet-dcs N] [--fleet-chaos]
 //                [--export-period-s S] [--trains-per-cell N]
@@ -369,8 +371,10 @@ struct Args {
 };
 
 /// Compiles the --gray profile into a deterministic gray-chaos schedule
-/// for `trains` shards (1 = single consist).
-fleet::CompiledGray compile_gray_profile(const Args& args, std::uint32_t trains) {
+/// for `trains` shards (1 = single consist), placed clear of the crashes
+/// and node flaps already in `base`.
+fleet::CompiledGray compile_gray_profile(const Args& args, std::uint32_t trains,
+                                         const fleet::FleetFaults& base) {
     fleet::GrayChaosOptions go;
     go.n = args.cfg.n;
     go.f = args.cfg.f;
@@ -403,7 +407,7 @@ fleet::CompiledGray compile_gray_profile(const Args& args, std::uint32_t trains)
         go.creeps = 1;
     }
     if (args.gray_limp > 0) go.limp_factor = args.gray_limp;
-    return fleet::compile_gray(go);
+    return fleet::compile_gray(go, base);
 }
 
 void write_text_file(const std::string& path, const std::string& content) {
@@ -469,11 +473,13 @@ int run_fleet(const Args& args) {
     cfg.store_root = args.cfg.store_root;
     cfg.audit = args.audit;
     if (args.fleet_chaos) {
-        cfg.chaos = fleet::FleetChaos::staggered(cfg.trains, cfg.dc_count,
-                                                 cfg.warmup + cfg.duration);
+        cfg.faults = fleet::staggered_drill(cfg.trains, cfg.dc_count, cfg.warmup + cfg.duration);
     }
+    // The single-consist fault flags land on train 0, like --adversary.
+    cfg.faults.trains[0].merge(args.cfg);
+    static_cast<runtime::FaultPlan&>(cfg.train) = {};
     if (!args.gray.empty()) {
-        fleet::apply(compile_gray_profile(args, cfg.trains), cfg);
+        cfg.faults.merge(compile_gray_profile(args, cfg.trains, cfg.faults).faults);
     }
     if (args.audit_liveness) {
         std::fprintf(stderr, "warning: --audit-liveness is single-consist only; ignored\n");
@@ -712,9 +718,13 @@ int main(int argc, char** argv) {
     faults::SafetyAuditor auditor;
     if (args.audit) args.cfg.auditor = &auditor;
 
-    // Gray chaos compiles onto the fault schedules before the scenario is
-    // built (the validator then sees the merged plan).
-    if (!args.gray.empty()) fleet::apply(compile_gray_profile(args, 1), args.cfg);
+    // Gray chaos compiles onto the fault plan before the scenario is built
+    // (the validator then sees the merged plan).
+    if (!args.gray.empty()) {
+        fleet::FleetFaults base;
+        base.trains[0] = args.cfg;
+        args.cfg.merge(compile_gray_profile(args, 1, base).faults.trains.at(0));
+    }
 
     // Liveness auditor: configured before construction (the scenario
     // lowers its own fault schedule into the auditor's dark spans).
