@@ -67,7 +67,6 @@ int main(int argc, char** argv) {
         so.base.seed = 1;
         so.base.bus_cycle = milliseconds(512);
         so.base.payload_size = 256;
-        so.fleet = false;
         so.dc_count = 2;
         so.journey_seed = 7;
         so.recipes = 3;
@@ -84,7 +83,6 @@ int main(int argc, char** argv) {
         so.base.bus_cycle = milliseconds(1024);
         so.base.payload_size = 256;
         so.base.block_size = 8;
-        so.fleet = true;
         so.trains = 4;
         so.dc_count = 2;
         so.journey_seed = 7;

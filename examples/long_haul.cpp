@@ -50,7 +50,6 @@ int main() {
     so.base.seed = 7;
     so.base.bus_cycle = milliseconds(512);
     so.base.payload_size = 256;
-    so.fleet = true;
     so.trains = 2;
     so.dc_count = 2;
     so.horizon = seconds(2 * 3600);

@@ -11,10 +11,18 @@ namespace zc::fleet {
 Fleet::Fleet(FleetConfig config)
     : config_(std::move(config)), sim_(config_.seed),
       provider_(crypto::make_provider(config_.train.crypto_provider)) {
+    const runtime::ScenarioConfig& tmpl = config_.train;
     if (config_.trains == 0) throw std::invalid_argument("fleet needs at least one train");
-    if (!static_cast<const runtime::FaultPlan&>(config_.train).empty()) {
+    if (!static_cast<const runtime::FaultPlan&>(tmpl).empty()) {
         throw std::invalid_argument(
             "fleet template carries a fault plan; put per-train faults in FleetConfig::faults");
+    }
+    if (config_.trains > 1 && (tmpl.store_root || tmpl.auditor != nullptr ||
+                               tmpl.liveness != nullptr || !tmpl.byzantine.empty())) {
+        throw std::invalid_argument(
+            "fleet template carries per-consist settings (store_root, auditor, liveness or "
+            "byzantine) for " + std::to_string(config_.trains) +
+            " trains; use FleetConfig::store_root, audit and byzantine");
     }
     for (const auto& [t, plan] : config_.faults.trains) {
         if (t >= config_.trains) {
@@ -22,8 +30,8 @@ Fleet::Fleet(FleetConfig config)
                                         " but the fleet has " +
                                         std::to_string(config_.trains) + " trains");
         }
-        if (config_.train.allow_unsafe_chaos) continue;
-        if (const auto err = runtime::validate_faults(plan, config_.train.n, config_.train.f)) {
+        if (tmpl.allow_unsafe_chaos) continue;
+        if (const auto err = runtime::validate_faults(plan, tmpl.n, tmpl.f)) {
             throw std::invalid_argument("fleet faults train " + std::to_string(t) + ": " + *err);
         }
     }
@@ -40,52 +48,40 @@ Fleet::Fleet(FleetConfig config)
 void Fleet::build() {
     ZC_PROF_SCOPE(kSetup);
     sim_.set_profiler(prof::Profiler::active());
-
-    // Fleet-shared data-center keys, drawn before any shard so the key
-    // stream is independent of the fleet size.
-    Rng dcrng = sim_.rng().fork("fleet-dc-keys");
-    for (std::uint32_t d = 0; d < config_.dc_count; ++d) {
-        dc_keys_.push_back(provider_->generate(dcrng));
-    }
+    const runtime::ScenarioConfig& tmpl = config_.train;
 
     // Shards, in train order (construction order is part of the replay).
     for (TrainId t = 0; t < config_.trains; ++t) {
         networks_.push_back(std::make_unique<net::Network>(sim_));
-        net::Network& net = *networks_.back();
 
-        if (config_.audit) auditors_.push_back(std::make_unique<faults::SafetyAuditor>());
-
-        runtime::ScenarioConfig cfg = config_.train;
+        runtime::ScenarioConfig cfg = tmpl;
         cfg.seed = config_.seed;
         cfg.dc_count = config_.dc_count;
         // Contended LTE: trains_per_cell shards share one cell, so each
         // shard's uplink is provisioned with its static share of the cell.
         cfg.lte_link.bandwidth_bps /= std::max<std::uint32_t>(config_.trains_per_cell, 1);
-        if (config_.dc_count > 0) {
-            cfg.delete_quorum = std::max<std::size_t>(
-                1, std::min<std::size_t>(cfg.delete_quorum, config_.dc_count));
-        }
         cfg.warmup = config_.warmup;
         cfg.duration = config_.duration;
-        cfg.store_root.reset();
         if (config_.store_root) {
             cfg.store_root = *config_.store_root / ("train-" + std::to_string(t));
         }
-        cfg.auditor = config_.audit ? auditors_.back().get() : nullptr;
-        cfg.health_monitor = nullptr;       // the fleet drives sampling itself
-        cfg.health_timeseries = nullptr;
+        if (config_.audit && cfg.auditor == nullptr) {
+            owned_auditors_.push_back(std::make_unique<faults::SafetyAuditor>());
+            cfg.auditor = owned_auditors_.back().get();
+        }
+        if (cfg.auditor != nullptr) auditors_.push_back(cfg.auditor);
         // Shard trace events are remapped into the train's pid band so a
-        // single Tracer yields one merged fleet trace (see trace_pid()).
-        if (config_.trace_sink != nullptr) {
+        // single Tracer yields one merged fleet trace (see trace_pid());
+        // train 0's band starts at pid 0 and needs no remapping.
+        cfg.trace_sink = config_.trace_sink;
+        if (config_.trace_sink != nullptr && trace_pid(t, 0) != 0) {
             shard_sinks_.push_back(
                 std::make_unique<trace::OffsetSink>(*config_.trace_sink, trace_pid(t, 0)));
             cfg.trace_sink = shard_sinks_.back().get();
-        } else {
-            cfg.trace_sink = nullptr;
         }
-        cfg.byzantine.clear();
-        const auto byz = config_.byzantine.find(t);
-        if (byz != config_.byzantine.end()) cfg.byzantine = byz->second;
+        if (const auto byz = config_.byzantine.find(t); byz != config_.byzantine.end()) {
+            for (const auto& [node, behavior] : byz->second) cfg.byzantine[node] = behavior;
+        }
         if (const auto plan = config_.faults.trains.find(t);
             plan != config_.faults.trains.end()) {
             static_cast<runtime::FaultPlan&>(cfg) = plan->second;
@@ -93,33 +89,54 @@ void Fleet::build() {
 
         runtime::ShardEnv env;
         env.sim = &sim_;
-        env.net = &net;
+        env.net = networks_.back().get();
         env.provider = provider_.get();
-        env.rng_label = "train-" + std::to_string(t) + "-";
-        env.dc_keys = &dc_keys_;
-        shards_.push_back(std::make_unique<runtime::TrainShard>(cfg, std::move(env)));
+        shards_.push_back(std::make_unique<runtime::TrainShard>(std::move(cfg), env));
+    }
+
+    // The shared steps go onto the clock in a fixed order — audit tick,
+    // liveness tick, DCs, fault plans, bus start — because the event queue
+    // breaks time ties by insertion order: a one-train fleet replays the
+    // single consist's event sequence exactly.
+    if (!auditors_.empty() && tmpl.audit_period > Duration::zero()) {
+        sim_.schedule(tmpl.audit_period, [this] { audit_tick(); });
+    }
+
+    // Liveness auditor (one-train fleets): lower the train's fault plan
+    // into dark spans (the windows where the model itself excuses a
+    // stall) and sample cluster progress on a fixed cadence. The caller
+    // configures n/f/thresholds before construction; finish() is the
+    // harness's job after the run.
+    if (tmpl.liveness != nullptr && tmpl.liveness_period > Duration::zero()) {
+        tmpl.liveness->set_trace({config_.trace_sink, kNoNode, sim_.now_handle()});
+        const Duration horizon = config_.warmup + config_.duration;
+        runtime::FaultPlan::DownSpans spans = shards_[0]->config().down_spans(horizon);
+        std::vector<faults::NodeDarkSpan> dark = std::move(spans.crashed);
+        dark.insert(dark.end(), spans.isolated.begin(), spans.isolated.end());
+        tmpl.liveness->set_schedule(std::move(dark), std::move(spans.uplink), horizon);
+        sim_.schedule(tmpl.liveness_period, [this] { liveness_tick(); });
     }
 
     // Shared data centers: each attaches one port per shard network and
     // one export core per train.
     for (std::uint32_t d = 0; d < config_.dc_count; ++d) {
         FleetDcConfig dcfg;
-        dcfg.id = d;
-        dcfg.dc_count = config_.dc_count;
-        dcfg.n = config_.train.n;
-        dcfg.f = config_.train.f;
-        dcfg.checkpoint_interval = config_.train.block_size;
-        dcfg.reply_timeout = config_.train.export_timeout;
-        dcfg.max_retries = config_.train.export_max_retries;
-        dcfg.retry_backoff = config_.train.export_retry_backoff;
-        dcfg.retry_backoff_max = config_.train.export_retry_backoff_max;
+        dcfg.core.id = d;
+        dcfg.core.n = tmpl.n;
+        dcfg.core.f = tmpl.f;
+        dcfg.core.checkpoint_interval = tmpl.block_size;
+        for (DataCenterId other = 0; other < config_.dc_count; ++other) {
+            if (other != d) dcfg.core.peers.push_back(other);
+        }
+        dcfg.core.reply_timeout = tmpl.export_timeout;
+        dcfg.core.max_retries = tmpl.export_max_retries;
+        dcfg.core.retry_backoff = tmpl.export_retry_backoff;
+        dcfg.core.retry_backoff_max = tmpl.export_retry_backoff_max;
         dcfg.ingest_cores = config_.dc_ingest_cores;
         dcfg.ingest_queue = config_.dc_ingest_queue;
-        dcs_.push_back(std::make_unique<FleetDataCenter>(dcfg, sim_, *provider_, dc_keys_[d],
-                                                         index_, config_.trace_sink));
-        for (TrainId t = 0; t < config_.trains; ++t) {
-            dcs_.back()->add_shard(t, *networks_[t], shards_[t]->directory());
-        }
+        dcs_.push_back(
+            std::make_unique<FleetDataCenter>(dcfg, sim_, *provider_, index_, config_.trace_sink));
+        for (TrainId t = 0; t < config_.trains; ++t) dcs_.back()->add_shard(t, *shards_[t]);
     }
 
     // Fault plans: each shard drives its own, then the shared DC outages.
@@ -147,15 +164,13 @@ void Fleet::build() {
     if (config_.monitors) {
         health::MonitorConfig mc = config_.monitor;
         mc.watch_export = config_.dc_count > 0;
-        if (config_.auto_export_thresholds && config_.dc_count > 0) {
-            // A fleet legitimately backs up one export period of blocks
+        if (config_.dc_count > 0) {
+            // A train legitimately backs up one export period of blocks
             // between rounds; alarm only when several periods pile up.
             const std::int64_t blocks_per_period =
                 config_.export_period.count() /
                 std::max<std::int64_t>(
-                    config_.train.bus_cycle.count() *
-                        static_cast<std::int64_t>(config_.train.block_size),
-                    1);
+                    tmpl.bus_cycle.count() * static_cast<std::int64_t>(tmpl.block_size), 1);
             mc.export_backlog_min_blocks =
                 std::max<std::uint64_t>(mc.export_backlog_min_blocks,
                                         static_cast<std::uint64_t>(4 * blocks_per_period));
@@ -166,10 +181,6 @@ void Fleet::build() {
     }
     if (config_.sample_period > Duration::zero()) {
         sim_.schedule(config_.sample_period, [this] { sample_tick(); });
-    }
-
-    if (config_.audit && config_.audit_period > Duration::zero()) {
-        sim_.schedule(config_.audit_period, [this] { audit_tick(); });
     }
 }
 
@@ -242,9 +253,8 @@ void Fleet::audit_shard(TrainId train) {
 }
 
 std::uint64_t Fleet::run_audit() {
-    if (!config_.audit) return 0;
     std::uint64_t violations = 0;
-    for (TrainId t = 0; t < config_.trains; ++t) {
+    for (TrainId t = 0; t < auditors_.size(); ++t) {
         audit_shard(t);
         violations += auditors_[t]->report().violations.size();
     }
@@ -253,7 +263,24 @@ std::uint64_t Fleet::run_audit() {
 
 void Fleet::audit_tick() {
     for (TrainId t = 0; t < config_.trains; ++t) audit_shard(t);
-    sim_.schedule(config_.audit_period, [this] { audit_tick(); });
+    sim_.schedule(config_.train.audit_period, [this] { audit_tick(); });
+}
+
+void Fleet::liveness_tick() {
+    const runtime::TrainShard& shard = *shards_[0];
+    faults::LivenessObs obs;
+    std::vector<faults::LivenessNodeObs> nodes;
+    nodes.reserve(shard.node_count());
+    for (std::size_t i = 0; i < shard.node_count(); ++i) {
+        const health::NodeSample s = shard.snapshot_node(i);
+        obs.decided = std::max(obs.decided, s.decided);
+        const std::uint64_t backlog = s.head_height - std::min(s.head_height, s.base_height);
+        obs.backlog_blocks = std::max(obs.backlog_blocks, backlog);
+        nodes.push_back({s.node, s.alive, s.head_height});
+    }
+    for (const auto& dc : dcs_) obs.exports_completed += dc->core(0).stats().exports_completed;
+    config_.train.liveness->observe(sim_.now(), obs, nodes);
+    sim_.schedule(config_.train.liveness_period, [this] { liveness_tick(); });
 }
 
 void Fleet::run() {
@@ -267,10 +294,6 @@ void Fleet::run_for(Duration d) { sim_.run_until(sim_.now() + d); }
 
 const health::HealthMonitor* Fleet::monitor(TrainId t) const {
     return monitors_.empty() ? nullptr : monitors_.at(t).get();
-}
-
-const faults::SafetyAuditor* Fleet::auditor(TrainId t) const {
-    return auditors_.empty() ? nullptr : auditors_.at(t).get();
 }
 
 FleetReport Fleet::report() {
@@ -313,7 +336,7 @@ FleetReport Fleet::report() {
                 if (!a.cleared) tr.active_alarms += 1;
             }
         }
-        if (config_.audit) {
+        if (!auditors_.empty()) {
             tr.audit_violations = auditors_[t]->report().violations.size();
         }
         out.audit_violations += tr.audit_violations;

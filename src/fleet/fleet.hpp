@@ -1,5 +1,6 @@
 // Fleet orchestrator: N independent train shards on one virtual clock,
-// exporting into shared data centers.
+// exporting into shared data centers. A single consist is a fleet of one:
+// runtime::Scenario is a one-train Fleet plus the measurement window.
 //
 // Each shard is a complete consist (runtime::TrainShard: 4-node PBFT
 // cluster, MVB bus, ATP generator, durable chains) with its *own*
@@ -9,20 +10,23 @@
 // one seed, one deterministic interleaving of the whole timetable.
 //
 // Shared infrastructure crossing shard boundaries:
-//   * FleetDataCenter (one per company): a port on every shard network, a
-//     per-train export core, one bounded ingest executor all trains
-//     contend for, and fleet-shared DC keys registered in every shard's
-//     key directory.
+//   * FleetDataCenter (one per company, the only data-center host): a
+//     port on every shard network signing with the DC key that shard
+//     drew, a per-train export core, and one ingest executor all trains
+//     contend for.
 //   * FleetIndex: the cross-fleet archive index (dedup by block hash,
 //     keyed by train id; cross-shard collisions pinned to zero).
 //   * Per-shard HealthMonitors + a FleetRollup time series; per-shard
 //     SafetyAuditors when auditing is on.
 //
-// Determinism strategy: construction order is fixed (DC keys, then shards
-// in train order, then DCs in id order adding shards in train order);
-// every named rng fork is prefixed "train-<t>-"; fork() itself advances
-// the parent stream, so equal labels across shards still yield
-// decorrelated streams. Same seed -> byte-identical reports, rollups and
+// Determinism strategy: construction order is fixed (shards in train
+// order, each with its network, node keys and DC keys; then DCs in id
+// order adding shards in train order). Every shard forks its rng streams
+// with the same unlabelled names a single consist uses; fork() itself
+// advances the parent stream, so the shards still draw decorrelated
+// streams, and train 0 draws exactly the streams of the single consist
+// built from the same seed (with no DCs, train 0's chains are that
+// consist's chains). Same seed -> byte-identical reports, rollups and
 // stores.
 #pragma once
 
@@ -43,14 +47,16 @@ struct FleetConfig {
     std::uint32_t trains = 8;
     std::uint64_t seed = 1;
 
-    /// Per-shard template. Fleet overrides, per shard: store_root
-    /// (store_root/train-<t>), auditor/byzantine wiring, delete_quorum
-    /// (clamped to dc_count), dc_count (from the fleet), the LTE link (the
-    /// train's share of its cell) and the fault plan (from `faults`).
-    /// Health pointers inside the template are ignored — the fleet drives
-    /// sampling and audits itself. The template's own FaultPlan must be
-    /// empty (the constructor throws otherwise): per-train faults belong
-    /// in `faults`.
+    /// Per-shard template. Fleet overrides, per shard: dc_count (from the
+    /// fleet), the LTE link (the train's share of its cell), warmup and
+    /// duration, the trace sink and the fault plan (from `faults`). The
+    /// template's own FaultPlan must be empty (the constructor throws
+    /// otherwise): per-train faults belong in `faults`. Its audit_period
+    /// paces the fleet's audit tick. store_root, auditor, liveness and
+    /// byzantine are per-consist settings: honoured as given for a
+    /// one-train fleet, rejected (std::invalid_argument) for more trains —
+    /// use the fleet's store_root, audit and byzantine instead. Health
+    /// pointers are read by runtime::Scenario, not by the fleet.
     runtime::ScenarioConfig train;
 
     std::uint32_t dc_count = 2;
@@ -65,7 +71,9 @@ struct FleetConfig {
     /// Periodic exports: every train starts a round every export_period,
     /// staggered by export_period / trains so the DC frontend sees a
     /// steady arrival process, preferring DC (train % dc_count) and
-    /// failing over to the next DC that is up.
+    /// failing over to the next DC that is up. The export-backlog watchdog
+    /// scales with it (a train legitimately backs up a period's worth of
+    /// blocks between rounds). 0 = no periodic exports.
     Duration export_period{seconds(10)};
 
     Duration warmup{seconds(2)};
@@ -75,19 +83,15 @@ struct FleetConfig {
     /// (inspectable with zc_inspect --store-dir store_root).
     std::optional<std::filesystem::path> store_root;
 
-    /// Fleet health sampling cadence (per-shard monitors + rollup rows).
+    /// Fleet health sampling cadence (per-shard monitors + rollup rows;
+    /// 0 = no sampling tick).
     bool monitors = true;
     Duration sample_period{milliseconds(256)};
     health::MonitorConfig monitor;
 
-    /// Scale the export-backlog watchdog to the export cadence (a fleet
-    /// legitimately accumulates a period's worth of blocks between
-    /// rounds; the single-consist default of 64 blocks would cry wolf).
-    bool auto_export_thresholds = true;
-
-    /// Per-shard safety auditors + a final audit pass in run().
+    /// Per-shard safety auditors + a final audit pass in run(), on the
+    /// template's audit_period.
     bool audit = false;
-    Duration audit_period{seconds(5)};
 
     /// Per-train Byzantine knobs (train -> node -> behaviour).
     std::map<TrainId, std::map<NodeId, runtime::ByzantineBehavior>> byzantine;
@@ -105,11 +109,12 @@ struct FleetConfig {
 };
 
 /// Merged-trace pid plan: every train shard gets a disjoint 1000-wide pid
-/// band (train t, node i -> 1000*(t+1)+i) while the shared data centers
-/// keep the single-consist convention (DC d -> 100+d). Process labels and
-/// tests use these helpers so the mapping has exactly one definition.
+/// band (train t, node i -> 1000*t+i, so train 0 keeps the single-consist
+/// pids 0..n-1) while the shared data centers keep the single-consist
+/// convention (DC d -> 100+d). Process labels and tests use these helpers
+/// so the mapping has exactly one definition.
 inline constexpr NodeId trace_pid(TrainId train, NodeId node) noexcept {
-    return 1000u * (train + 1u) + node;
+    return 1000u * train + node;
 }
 inline constexpr NodeId dc_trace_pid(DataCenterId dc) noexcept { return 100u + dc; }
 
@@ -172,11 +177,10 @@ public:
     const FleetIndex& index() const noexcept { return index_; }
     const FleetRollup& rollup() const noexcept { return rollup_; }
     const health::HealthMonitor* monitor(TrainId t) const;
-    const faults::SafetyAuditor* auditor(TrainId t) const;
-    /// Mutable auditor handle (the soak runner compacts tap state between
-    /// segments); null when auditing is off.
-    faults::SafetyAuditor* auditor_handle(TrainId t) {
-        return t < auditors_.size() ? auditors_[t].get() : nullptr;
+    /// Train t's safety auditor, null when auditing is off (mutable: the
+    /// soak runner compacts tap state between segments).
+    faults::SafetyAuditor* auditor(TrainId t) const {
+        return auditors_.empty() ? nullptr : auditors_.at(t);
     }
     sim::Simulation& sim() noexcept { return sim_; }
     const FleetConfig& config() const noexcept { return config_; }
@@ -187,14 +191,17 @@ private:
     void sample_tick();
     void audit_tick();
     void audit_shard(TrainId train);
+    void liveness_tick();
 
     FleetConfig config_;
     sim::Simulation sim_;
     std::unique_ptr<crypto::CryptoProvider> provider_;
-    std::vector<crypto::KeyPair> dc_keys_;
     std::vector<std::unique_ptr<net::Network>> networks_;
     std::vector<std::unique_ptr<trace::OffsetSink>> shard_sinks_;
-    std::vector<std::unique_ptr<faults::SafetyAuditor>> auditors_;
+    /// One per train when auditing (the fleet's own, or a one-train
+    /// template's auditor); empty otherwise.
+    std::vector<faults::SafetyAuditor*> auditors_;
+    std::vector<std::unique_ptr<faults::SafetyAuditor>> owned_auditors_;
     std::vector<std::unique_ptr<runtime::TrainShard>> shards_;
     FleetIndex index_;
     std::vector<std::unique_ptr<FleetDataCenter>> dcs_;

@@ -55,27 +55,15 @@ std::string FleetIndex::json() const {
 }
 
 /// One train's slice of this data center: the network port on that
-/// shard's network, a crypto context bound to the shard's key directory,
-/// and the per-chain export protocol core.
+/// shard's network, a crypto context bound to the shard's DC key and key
+/// directory, and the per-chain export protocol core.
 struct FleetDataCenter::ShardRig final : net::Endpoint, exporter::DcTransport {
-    ShardRig(FleetDataCenter& host, TrainId train, net::Network& net,
-             crypto::KeyDirectory& directory)
-        : host(host), train(train), net(net),
-          crypto(host.provider_, directory, host.key_, host.dc_costs_, meter) {
-        exporter::DcConfig cfg;
-        cfg.id = host.config_.id;
-        cfg.n = host.config_.n;
-        cfg.f = host.config_.f;
-        cfg.checkpoint_interval = host.config_.checkpoint_interval;
-        cfg.reply_timeout = host.config_.reply_timeout;
-        cfg.max_retries = host.config_.max_retries;
-        cfg.retry_backoff = host.config_.retry_backoff;
-        cfg.retry_backoff_max = host.config_.retry_backoff_max;
-        for (DataCenterId other = 0; other < host.config_.dc_count; ++other) {
-            if (other != cfg.id) cfg.peers.push_back(other);
-        }
-        core = std::make_unique<exporter::DataCenter>(cfg, host.sim_, crypto, *this);
-        if (host.trace_ != nullptr) core->set_trace(host.trace_, kDcBase + cfg.id);
+    ShardRig(FleetDataCenter& host, TrainId train, runtime::TrainShard& shard)
+        : host(host), train(train), net(shard.network()),
+          crypto(host.provider_, shard.directory(), shard.dc_key(host.id()),
+                 host.dc_costs_, meter) {
+        core = std::make_unique<exporter::DataCenter>(host.config_.core, host.sim_, crypto, *this);
+        if (host.trace_ != nullptr) core->set_trace(host.trace_, kDcBase + host.id());
     }
 
     // Inbound (from this shard's replicas or a peer DC's port on the same
@@ -90,7 +78,7 @@ struct FleetDataCenter::ShardRig final : net::Endpoint, exporter::DcTransport {
         host.executor_.submit([this, enqueued, msg = std::move(message)] {
             ZC_PROF_SCOPE(kDcIngest);
             if (host.trace_ != nullptr) {
-                host.trace_->span(kDcBase + host.config_.id, enqueued,
+                host.trace_->span(kDcBase + host.id(), enqueued,
                                   host.sim_.now() - enqueued, trace::Phase::kDcIngestQueue,
                                   train, msg.size());
             }
@@ -102,7 +90,7 @@ struct FleetDataCenter::ShardRig final : net::Endpoint, exporter::DcTransport {
                     if (std::holds_alternative<exporter::DcSync>(*m)) {
                         ZC_PROF_SCOPE(kDcSync);
                         if (host.trace_ != nullptr) {
-                            host.trace_->event(kDcBase + host.config_.id, host.sim_.now(),
+                            host.trace_->event(kDcBase + host.id(), host.sim_.now(),
                                                trace::Phase::kDcSync, train,
                                                envelope->body.size());
                         }
@@ -117,7 +105,7 @@ struct FleetDataCenter::ShardRig final : net::Endpoint, exporter::DcTransport {
     }
 
     void to_replica(NodeId replica, const exporter::ExportMessage& m) override {
-        net.send(kDcBase + host.config_.id, replica,
+        net.send(kDcBase + host.id(), replica,
                  runtime::encode_envelope(runtime::Channel::kExport,
                                           exporter::encode_export_message(m)));
     }
@@ -125,7 +113,7 @@ struct FleetDataCenter::ShardRig final : net::Endpoint, exporter::DcTransport {
     // network, so per-train sync traffic stays within the shard's
     // addressing plan (peer ports route it to their core for `train`).
     void to_data_center(DataCenterId dc, const exporter::ExportMessage& m) override {
-        net.send(kDcBase + host.config_.id, kDcBase + dc,
+        net.send(kDcBase + host.id(), kDcBase + dc,
                  runtime::encode_envelope(runtime::Channel::kExport,
                                           exporter::encode_export_message(m)));
     }
@@ -139,26 +127,24 @@ struct FleetDataCenter::ShardRig final : net::Endpoint, exporter::DcTransport {
 };
 
 FleetDataCenter::FleetDataCenter(FleetDcConfig config, sim::Simulation& sim,
-                                 crypto::CryptoProvider& provider, crypto::KeyPair key,
-                                 FleetIndex& index, trace::TraceSink* trace)
-    : config_(config), sim_(sim), provider_(provider), key_(std::move(key)), index_(index),
-      trace_(trace), dc_costs_(metrics::CostModel::cloud()),
+                                 crypto::CryptoProvider& provider, FleetIndex& index,
+                                 trace::TraceSink* trace)
+    : config_(config), sim_(sim), provider_(provider), index_(index), trace_(trace), dc_costs_(metrics::CostModel::cloud()),
       executor_(sim, config.ingest_cores, config.ingest_queue) {}
 
 FleetDataCenter::~FleetDataCenter() = default;
 
-void FleetDataCenter::add_shard(TrainId train, net::Network& net,
-                                crypto::KeyDirectory& directory) {
+void FleetDataCenter::add_shard(TrainId train, runtime::TrainShard& shard) {
     if (rigs_.size() != train) {
         throw std::invalid_argument("fleet dc shards must be added in train order");
     }
-    rigs_.push_back(std::make_unique<ShardRig>(*this, train, net, directory));
-    net.attach(kDcBase + config_.id, rigs_.back().get());
+    rigs_.push_back(std::make_unique<ShardRig>(*this, train, shard));
+    shard.network().attach(kDcBase + id(), rigs_.back().get());
     // Archive growth is indexed as exports complete (plus the periodic
     // observe_all sweep for sync-adopted blocks).
     exporter::DataCenter* core = rigs_.back()->core.get();
     core->set_completion_hook([this, train, core](const exporter::ExportRecord& record) {
-        if (record.success) index_.observe(train, config_.id, core->store());
+        if (record.success) index_.observe(train, id(), core->store());
     });
 }
 
@@ -174,13 +160,13 @@ bool FleetDataCenter::exporting(TrainId train) const {
 void FleetDataCenter::set_down(bool down) {
     down_ = down;
     for (const auto& rig : rigs_) {
-        rig->net.set_endpoint_down(kDcBase + config_.id, down);
+        rig->net.set_endpoint_down(kDcBase + id(), down);
     }
     if (down) executor_.clear_queue();  // the frontend loses its backlog too
 }
 
 void FleetDataCenter::observe_all() {
-    for (const auto& rig : rigs_) index_.observe(rig->train, config_.id, rig->core->store());
+    for (const auto& rig : rigs_) index_.observe(rig->train, id(), rig->core->store());
 }
 
 exporter::DataCenter& FleetDataCenter::core(TrainId train) { return *rigs_.at(train)->core; }

@@ -3,12 +3,14 @@
 // One FleetDataCenter is a single juridical archive serving every train:
 // it attaches a port at the canonical DC endpoint (100 + id) on *each*
 // shard's network, runs one exporter::DataCenter protocol core per train
-// (export rounds are per-chain; proofs verify against that shard's key
-// directory), and funnels every inbound message through one shared
-// bounded MeteredExecutor — the DC frontend. A fleet hammering the same
-// archive therefore contends for ingest capacity: when the queue fills,
-// messages drop and the affected shard's export retries with backoff,
-// exactly like a overloaded real ingestion tier.
+// (export rounds are per-chain; the port signs with the DC key that train
+// registered and verifies against that train's key directory), and
+// funnels every inbound message through one shared bounded
+// MeteredExecutor — the DC frontend. It is the only data-center host: a
+// single consist (runtime::Scenario) is a one-train fleet. A fleet
+// hammering the same archive therefore contends for ingest capacity:
+// when the queue fills, messages drop and the affected shard's export
+// retries with backoff, exactly like a overloaded real ingestion tier.
 //
 // Exported blocks from all shards feed a FleetIndex keyed by train id:
 // re-deliveries of a block already archived for the same train (DC-to-DC
@@ -25,6 +27,10 @@
 #include "fleet/chaos.hpp"
 #include "net/network.hpp"
 #include "sim/executor.hpp"
+
+namespace zc::runtime {
+class TrainShard;
+}
 
 namespace zc::fleet {
 
@@ -66,17 +72,9 @@ private:
 };
 
 struct FleetDcConfig {
-    DataCenterId id = 0;
-    std::uint32_t dc_count = 1;
-
-    // Per-shard export protocol parameters (mirrors runtime::ScenarioConfig).
-    std::uint32_t n = 4;
-    std::uint32_t f = 1;
-    SeqNo checkpoint_interval = 10;
-    Duration reply_timeout{seconds(60)};
-    std::uint32_t max_retries = 8;
-    Duration retry_backoff{seconds(2)};
-    Duration retry_backoff_max{seconds(30)};
+    /// The per-train export protocol core (id, peers, timeouts, retries;
+    /// the same for every train).
+    exporter::DcConfig core;
 
     /// The shared ingestion tier: cores and bounded queue for *all* shards
     /// together (0 = unbounded queue).
@@ -87,7 +85,7 @@ struct FleetDcConfig {
 class FleetDataCenter {
 public:
     FleetDataCenter(FleetDcConfig config, sim::Simulation& sim,
-                    crypto::CryptoProvider& provider, crypto::KeyPair key, FleetIndex& index,
+                    crypto::CryptoProvider& provider, FleetIndex& index,
                     trace::TraceSink* trace = nullptr);
     ~FleetDataCenter();
 
@@ -95,11 +93,11 @@ public:
     FleetDataCenter& operator=(const FleetDataCenter&) = delete;
 
     /// Registers one shard: attaches this DC's port at endpoint 100 + id
-    /// on the shard's network and spins up the per-train protocol core
-    /// verifying against that shard's key directory. Call once per train,
-    /// in train order, for every DC (construction order is part of the
-    /// deterministic replay).
-    void add_shard(TrainId train, net::Network& net, crypto::KeyDirectory& directory);
+    /// on the shard's network and spins up the per-train protocol core,
+    /// signing with the shard's key for this DC and verifying against the
+    /// shard's key directory. Call once per train, in train order, for
+    /// every DC (construction order is part of the deterministic replay).
+    void add_shard(TrainId train, runtime::TrainShard& shard);
 
     /// Starts an export round for one train (no-op while one is running).
     void start_export(TrainId train);
@@ -116,7 +114,7 @@ public:
 
     exporter::DataCenter& core(TrainId train);
     const exporter::DataCenter& core(TrainId train) const;
-    DataCenterId id() const noexcept { return config_.id; }
+    DataCenterId id() const noexcept { return config_.core.id; }
     std::size_t shard_count() const noexcept { return rigs_.size(); }
 
     std::uint64_t ingest_dropped() const noexcept { return executor_.dropped(); }
@@ -137,7 +135,6 @@ private:
     FleetDcConfig config_;
     sim::Simulation& sim_;
     crypto::CryptoProvider& provider_;
-    crypto::KeyPair key_;
     FleetIndex& index_;
     trace::TraceSink* trace_;
     metrics::CostModel dc_costs_;

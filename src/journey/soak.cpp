@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <map>
-#include <memory>
 #include <stdexcept>
+#include <utility>
 
-#include "export/data_center.hpp"
 #include "faults/auditor.hpp"
 #include "fleet/fleet.hpp"
 #include "health/monitor.hpp"
@@ -16,7 +14,7 @@ namespace zc::journey {
 
 namespace {
 
-/// Everything sampled at one segment boundary, mode-agnostic.
+/// Everything sampled at one segment boundary.
 struct BoundaryProbe {
     std::uint64_t telegrams = 0;  ///< fleet-wide (sum of per-train max)
     std::uint64_t logged = 0;
@@ -43,22 +41,6 @@ std::string fmt_window(Duration d) {
 }
 
 double mb(std::int64_t bytes) { return static_cast<double>(bytes) / (1024.0 * 1024.0); }
-
-/// Single-consist mode has no fleet exporter loop, so the soak schedules
-/// its own: one staggered ticker per data center, re-arming itself every
-/// period (a round already in flight is left alone — starting is a
-/// no-op, and retries own the backoff).
-struct ExportTicker {
-    runtime::Scenario* scenario = nullptr;
-    std::size_t dc = 0;
-    Duration period{0};
-
-    void fire() {
-        auto& d = scenario->data_center(dc);
-        if (!d.exporting()) d.start_export();
-        scenario->sim().schedule(period, [this] { fire(); });
-    }
-};
 
 }  // namespace
 
@@ -161,16 +143,15 @@ SoakReport run_soak(const SoakOptions& options) {
         options.segment > options.horizon) {
         throw std::invalid_argument("soak: need 0 < segment <= horizon");
     }
-    if (options.fleet && options.trains == 0) {
-        throw std::invalid_argument("soak: fleet mode needs trains >= 1");
-    }
+    if (options.trains == 0) throw std::invalid_argument("soak: needs trains >= 1");
+    const bool fleet = options.trains > 1;
 
     // Compile the journey (if any) before building anything expensive.
     CompiledJourney compiled;
     if (options.journey_seed != 0) {
         JourneyConfig jc = options.journey;
         jc.seed = options.journey_seed;
-        jc.trains = options.fleet ? options.trains : 1;
+        jc.trains = options.trains;
         jc.nodes = options.base.n;
         const auto day = jc.day_length.count();
         jc.days = static_cast<std::uint32_t>((options.horizon.count() + day - 1) / day);
@@ -178,19 +159,17 @@ SoakReport run_soak(const SoakOptions& options) {
         CompilerOptions co = options.compiler;
         co.n = options.base.n;
         co.f = options.base.f;
-        co.fleet = options.fleet;
+        co.fleet = fleet;
         co.dc_count = options.dc_count;
         co.recipes = options.recipes;
         co.export_period = options.export_period;
-        if (!options.fleet) {
-            for (const auto& kv : options.base.byzantine) co.byzantine[0].insert(kv.first);
-        }
+        for (const auto& kv : options.base.byzantine) co.byzantine[0].insert(kv.first);
         compiled = compile(generate(jc), co);
     }
 
     SoakReport rep;
-    rep.fleet = options.fleet;
-    rep.trains = options.fleet ? options.trains : 1;
+    rep.fleet = fleet;
+    rep.trains = options.trains;
     rep.dc_count = options.dc_count;
     rep.seed = options.base.seed;
     rep.journey_seed = options.journey_seed;
@@ -198,140 +177,39 @@ SoakReport run_soak(const SoakOptions& options) {
     rep.segment_length = options.segment;
     for (const RecipeInstance& r : compiled.recipes) rep.recipes.push_back(r.describe());
 
-    // -- build the harness (mode-specific, probed through closures) --
-    std::unique_ptr<faults::SafetyAuditor> single_auditor;
-    std::unique_ptr<health::HealthMonitor> single_monitor;
-    std::unique_ptr<runtime::Scenario> scenario;
-    std::vector<std::unique_ptr<ExportTicker>> tickers;
-    std::unique_ptr<fleet::Fleet> fl;
+    // -- build the harness: a fleet, of one train for a single consist --
+    fleet::FleetConfig fc;
+    fc.trains = options.trains;
+    fc.seed = options.base.seed;
+    fc.train = options.base;
+    fc.train.audit_period = Duration::zero();  // boundary-driven
+    fc.dc_count = options.dc_count;
+    if (fc.dc_count > 0) {
+        fc.train.delete_quorum = std::max<std::size_t>(
+            1, std::min<std::size_t>(fc.train.delete_quorum, fc.dc_count));
+    }
+    fc.export_period = options.export_period;
+    fc.warmup = options.base.warmup;
+    fc.duration = options.horizon;
+    fc.sample_period = options.fleet_sample_period;
+    fc.audit = options.audit;
+    // The template's own schedules and adversaries land on train 0; the
+    // journey's plans follow them.
+    fc.faults.trains[0].merge(fc.train);
+    static_cast<runtime::FaultPlan&>(fc.train) = {};
+    fc.byzantine[0] = std::exchange(fc.train.byzantine, {});
+    if (fleet) fc.store_root = std::exchange(fc.train.store_root, std::nullopt);
+    if (options.journey_seed != 0) fc.faults.merge(compiled.faults);
 
-    std::function<void(Duration)> advance;
-    std::function<BoundaryProbe()> probe;
+    fleet::Fleet fl(std::move(fc));
     std::vector<const health::HealthMonitor*> monitors;
     std::vector<faults::SafetyAuditor*> auditors;
-    std::function<void()> audit_pass;
-
-    const std::uint32_t n = options.base.n;
-    if (!options.fleet) {
-        runtime::ScenarioConfig sc = options.base;
-        sc.dc_count = options.dc_count;
-        if (options.dc_count > 0) {
-            sc.delete_quorum =
-                std::min<std::size_t>(sc.delete_quorum, options.dc_count);
-        }
-        sc.duration = options.horizon;
-        sc.mem_sample_period = options.mem_sample_period;
-        sc.audit_period = Duration::zero();  // boundary-driven
-        if (options.audit) {
-            single_auditor = std::make_unique<faults::SafetyAuditor>();
-            sc.auditor = single_auditor.get();
-            auditors.push_back(single_auditor.get());
-        }
-        health::MonitorConfig mc;
-        if (options.dc_count > 0) {
-            mc.watch_export = true;
-            const double blocks_per_period =
-                to_seconds(options.export_period) /
-                (to_seconds(sc.bus_cycle) * static_cast<double>(sc.block_size));
-            mc.export_backlog_min_blocks =
-                std::max<std::uint64_t>(mc.export_backlog_min_blocks,
-                                        static_cast<std::uint64_t>(4.0 * blocks_per_period));
-        }
-        single_monitor = std::make_unique<health::HealthMonitor>(mc);
-        sc.health_monitor = single_monitor.get();
-        if (options.journey_seed != 0) sc.merge(compiled.faults.trains.at(0));
-
-        scenario = std::make_unique<runtime::Scenario>(sc);
-        monitors.push_back(single_monitor.get());
-
-        // Periodic exports (staggered across DCs) so pruning keeps pace
-        // with the chain over the whole horizon.
-        for (std::uint32_t d = 0; d < options.dc_count; ++d) {
-            tickers.push_back(std::make_unique<ExportTicker>(
-                ExportTicker{scenario.get(), d, options.export_period}));
-            ExportTicker* t = tickers.back().get();
-            scenario->sim().schedule(
-                sc.warmup + (options.export_period * static_cast<std::int64_t>(d + 1)) /
-                                static_cast<std::int64_t>(options.dc_count),
-                [t] { t->fire(); });
-        }
-
-        advance = [&](Duration d) { scenario->run_for(d); };
-        audit_pass = [&] { scenario->run_audit(); };
-        probe = [&] {
-            BoundaryProbe p;
-            for (std::uint32_t i = 0; i < n; ++i) {
-                auto& node = scenario->node(i);
-                p.telegrams = std::max(p.telegrams, node.telegrams_seen());
-                const auto s = scenario->shard().snapshot_node(i);
-                p.logged = std::max(p.logged, s.logged);
-                p.blocks = std::max(p.blocks, s.head_height);
-                p.node_total = std::max(p.node_total, node.memory().total_bytes());
-                for (const auto& g : node.memory().gauges()) {
-                    auto& slot = p.gauges[g->name()];
-                    slot = std::max(slot, g->value());
-                }
-            }
-            p.pending = scenario->sim().pending_events();
-            return p;
-        };
-    } else {
-        fleet::FleetConfig fc;
-        fc.trains = options.trains;
-        fc.seed = options.base.seed;
-        fc.train = options.base;
-        fc.train.mem_sample_period = options.mem_sample_period;
-        fc.dc_count = options.dc_count;
-        fc.export_period = options.export_period;
-        fc.warmup = options.base.warmup;
-        fc.duration = options.horizon;
-        fc.sample_period = options.fleet_sample_period;
-        fc.audit = options.audit;
-        fc.audit_period = Duration::zero();  // boundary-driven
-        // The template's own schedules land on train 0 (as zugchain_sim's
-        // fleet mode does); the journey's plans follow them.
-        fc.faults.trains[0].merge(fc.train);
-        static_cast<runtime::FaultPlan&>(fc.train) = {};
-        if (options.journey_seed != 0) fc.faults.merge(compiled.faults);
-
-        fl = std::make_unique<fleet::Fleet>(std::move(fc));
-        for (std::uint32_t t = 0; t < options.trains; ++t) {
-            if (const auto* m = fl->monitor(t)) monitors.push_back(m);
-            if (auto* a = fl->auditor_handle(t)) auditors.push_back(a);
-        }
-        advance = [&](Duration d) { fl->run_for(d); };
-        audit_pass = [&] { fl->run_audit(); };
-        probe = [&] {
-            BoundaryProbe p;
-            for (std::uint32_t t = 0; t < options.trains; ++t) {
-                auto& shard = fl->shard(t);
-                std::uint64_t tg = 0, lg = 0, bl = 0;
-                for (std::uint32_t i = 0; i < n; ++i) {
-                    auto& node = shard.node(i);
-                    tg = std::max(tg, node.telegrams_seen());
-                    const auto s = shard.snapshot_node(i);
-                    lg = std::max(lg, s.logged);
-                    bl = std::max(bl, s.head_height);
-                    p.node_total = std::max(p.node_total, node.memory().total_bytes());
-                    for (const auto& g : node.memory().gauges()) {
-                        auto& slot = p.gauges[g->name()];
-                        slot = std::max(slot, g->value());
-                    }
-                }
-                p.telegrams += tg;
-                p.logged += lg;
-                p.blocks += bl;
-            }
-            p.pending = fl->sim().pending_events();
-            for (std::uint32_t d = 0; d < fl->dc_count(); ++d) {
-                p.dc_depth += fl->data_center(d).ingest_queue_depth();
-            }
-            return p;
-        };
+    for (std::uint32_t t = 0; t < options.trains; ++t) {
+        if (const auto* m = fl.monitor(t)) monitors.push_back(m);
+        if (auto* a = fl.auditor(t)) auditors.push_back(a);
     }
-
     // -- drive the horizon in segments --
-    advance(options.base.warmup);
+    fl.run_for(options.base.warmup);
 
     std::map<std::string, PlateauState> plateau;
     std::vector<std::size_t> audit_seen(auditors.size(), 0);
@@ -363,17 +241,40 @@ SoakReport run_soak(const SoakOptions& options) {
 
     while (at < options.horizon) {
         const Duration step = std::min(options.segment, options.horizon - at);
-        advance(step);
+        fl.run_for(step);
         const Duration seg_start = at;
         at = at + step;
 
-        BoundaryProbe p = probe();
+        BoundaryProbe p;
+        for (std::uint32_t t = 0; t < options.trains; ++t) {
+            auto& shard = fl.shard(t);
+            std::uint64_t tg = 0, lg = 0, bl = 0;
+            for (std::size_t i = 0; i < shard.node_count(); ++i) {
+                auto& node = shard.node(i);
+                tg = std::max(tg, node.telegrams_seen());
+                const auto s = shard.snapshot_node(i);
+                lg = std::max(lg, s.logged);
+                bl = std::max(bl, s.head_height);
+                p.node_total = std::max(p.node_total, node.memory().total_bytes());
+                for (const auto& g : node.memory().gauges()) {
+                    auto& slot = p.gauges[g->name()];
+                    slot = std::max(slot, g->value());
+                }
+            }
+            p.telegrams += tg;
+            p.logged += lg;
+            p.blocks += bl;
+        }
+        p.pending = fl.sim().pending_events();
+        for (std::uint32_t d = 0; d < fl.dc_count(); ++d) {
+            p.dc_depth += fl.data_center(d).ingest_queue_depth();
+        }
         p.telegrams = std::max(p.telegrams, prev_telegrams);
         prev_telegrams = p.telegrams;
 
         std::uint64_t audit_total = 0;
         if (options.audit) {
-            audit_pass();
+            fl.run_audit();
             for (std::size_t a = 0; a < auditors.size(); ++a) {
                 const auto& violations = auditors[a]->report().violations;
                 for (std::size_t v = audit_seen[a]; v < violations.size(); ++v) {

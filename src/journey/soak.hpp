@@ -7,8 +7,8 @@
 // does something creep (a chain that outruns its pruning, a queue that
 // never drains, a leaked timer, an alarm that latches forever)?
 //
-// The runner drives a single consist (runtime::Scenario) or a fleet
-// (fleet::Fleet) in fixed virtual-time segments. At each boundary it:
+// The runner drives a fleet::Fleet — of one train for a single consist —
+// in fixed virtual-time segments. At each boundary it:
 //   * runs a SafetyAuditor pass (fork/hash-link/signature/no-lost-input/
 //     export-proof invariants) and compacts the auditor's tap state,
 //   * sweeps the health monitors' alarm lists,
@@ -38,13 +38,14 @@ namespace zc::journey {
 
 struct SoakOptions {
     /// Workload template (n, f, seed, bus cycle, payload, timers...).
-    /// `duration`, `warmup`, `dc_count`, `mem_sample_period`, auditor and
-    /// monitor pointers are overridden by the runner. Its fault plan runs
-    /// before the journey's; in fleet mode it lands on train 0.
+    /// `duration`, `dc_count` and `audit_period` are overridden by the
+    /// runner, and `delete_quorum` is clamped to [1, dc_count]. Its fault
+    /// plan and adversaries land on train 0, the plan before the
+    /// journey's; with more than one train its store_root becomes the
+    /// fleet's (store_root/train-<t>/node-<i>).
     runtime::ScenarioConfig base;
 
-    bool fleet = false;
-    std::uint32_t trains = 4;     ///< fleet mode only
+    std::uint32_t trains = 1;     ///< 1 = a single consist
     std::uint32_t dc_count = 2;
 
     Duration horizon{seconds(2 * 86'400)};
@@ -73,9 +74,8 @@ struct SoakOptions {
     double event_slack = 1.0;
     std::int64_t event_floor = 1024;
 
-    /// Sampling cadences, widened from the short-run defaults so a
-    /// multi-day soak does not drown in samples.
-    Duration mem_sample_period{seconds(5)};
+    /// Health and rollup sampling cadence, widened from the short-run
+    /// default so a multi-day soak does not drown in samples.
     Duration fleet_sample_period{seconds(4)};
 };
 
@@ -102,7 +102,7 @@ struct SoakSegment {
 };
 
 struct SoakReport {
-    bool fleet = false;
+    bool fleet = false;  ///< more than one train
     std::uint32_t trains = 1;
     std::uint32_t dc_count = 0;
     std::uint64_t seed = 0;

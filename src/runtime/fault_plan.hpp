@@ -8,8 +8,9 @@
 // A plan that takes more than f nodes down at once, or flaps a node that
 // is already crashed, does not test fault tolerance: it tests a budget
 // the protocol never promised, and would surface mid-run as an opaque
-// stall. Scenario and Fleet therefore validate every plan at
-// construction, and the journey and gray compilers check their output.
+// stall. Fleet (and so Scenario, a one-train fleet) therefore validates
+// every plan at construction, and the journey and gray compilers check
+// their output.
 // Byzantine nodes do not count against the crash budget here (a
 // compromised-but-live node keeps voting); the journey compiler passes a
 // reduced f to enforce crashed+Byzantine <= f for its own plans.
@@ -131,8 +132,8 @@ struct FaultPlan {
 ///   * overlapping flaps of the same link,
 ///   * a nonsensical ramp, or rate windows that overlap, nest, or scale
 ///     by a non-positive factor.
-/// Scenario's and Fleet's constructors throw std::invalid_argument with
-/// this message unless the config sets `allow_unsafe_chaos`.
+/// Fleet's (and so Scenario's) constructor throws std::invalid_argument
+/// with this message unless the config sets `allow_unsafe_chaos`.
 std::optional<std::string> validate_faults(const FaultPlan& plan, std::uint32_t n,
                                            std::uint32_t f);
 

@@ -7,6 +7,12 @@
 // Mirrors the paper's testbed (§V-A): four M-COM-class devices, an
 // MVB-like bus fed by an ATP signal generator, 100 Mbit/s consensus
 // Ethernet, and an ~8.5 Mbit/s LTE link to cloud data centers.
+//
+// A Scenario is a one-train fleet::Fleet (built and linked in src/fleet):
+// the fleet builds the consist, hosts its data centers and runs the fault
+// plan and the audit and liveness ticks. The Scenario adds only what a
+// fleet does not do: the measurement window, memory sampling, the health
+// and time-series taps, and report().
 #pragma once
 
 #include <map>
@@ -20,6 +26,10 @@
 #include "runtime/node.hpp"
 #include "runtime/train_shard.hpp"
 #include "train/generator.hpp"
+
+namespace zc::fleet {
+class Fleet;
+}
 
 namespace zc::runtime {
 
@@ -126,13 +136,14 @@ struct ScenarioConfig : FaultPlan {
     health::TimeSeries* health_timeseries = nullptr;
     std::uint32_t timeseries_sample_cycles = 16;  ///< used without a monitor
 
-    /// Safety auditor (null = off). The scenario wires node taps, marks
-    /// nodes with Byzantine knobs as compromised, runs a periodic audit
-    /// pass every `audit_period`, and `run_audit()` does the final one.
+    /// Safety auditor (null = off). The consist wires node taps and marks
+    /// nodes with Byzantine knobs as compromised; an audit pass runs every
+    /// `audit_period` (0 = none; this also paces a fleet's audit tick),
+    /// and `run_audit()` does the final one.
     faults::SafetyAuditor* auditor = nullptr;
     Duration audit_period{seconds(5)};
 
-    /// Liveness auditor (null = off). The scenario lowers its own fault
+    /// Liveness auditor (null = off). The harness lowers the fault
     /// schedule into dark spans, samples cluster progress every
     /// `liveness_period`, and the harness calls the auditor's finish()
     /// after the run; zugchain_sim --audit-liveness maps a dirty report
@@ -193,7 +204,7 @@ public:
 
     ScenarioReport report();
 
-    Node& node(std::size_t i) { return shard_->node(i); }
+    Node& node(std::size_t i) { return shard().node(i); }
     std::size_t node_count() const noexcept { return shard_->node_count(); }
 
     /// Successful state-transfer fetches (and blocks copied) so far.
@@ -215,30 +226,20 @@ public:
     void run_audit();
 
     exporter::DataCenter& data_center(std::size_t i);
-    sim::Simulation& sim() noexcept { return sim_; }
-    net::Network& network() noexcept { return net_; }
+    sim::Simulation& sim() noexcept;
+    net::Network& network() noexcept { return shard_->network(); }
     bus::Bus& train_bus() noexcept { return shard_->train_bus(); }
     TrainShard& shard() noexcept { return *shard_; }
-    const ScenarioConfig& config() const noexcept { return config_; }
+    /// The consist's full config (the train's copy: fault plan included).
+    const ScenarioConfig& config() const noexcept { return shard_->config(); }
 
 private:
-    class DataCenterHost;
-
-    void build();
-    void apply_flap(const ScenarioConfig::LinkFlap& flap, bool blocked);
     void start_measuring();
     void sample_memory();
     void sample_health();
-    void audit_tick();
-    void liveness_tick();
 
-    ScenarioConfig config_;
-    sim::Simulation sim_;
-    net::Network net_;
-    std::unique_ptr<crypto::CryptoProvider> provider_;
-    metrics::CostModel dc_costs_;
-    std::unique_ptr<TrainShard> shard_;
-    std::vector<std::unique_ptr<DataCenterHost>> dcs_;
+    std::unique_ptr<fleet::Fleet> fleet_;
+    TrainShard* shard_ = nullptr;  ///< the fleet's only train
 
     Duration health_period_{0};
 

@@ -19,8 +19,8 @@ struct TrainShard::SourceTap final : bus::BusTap {
     std::uint32_t source;
 };
 
-TrainShard::TrainShard(const ScenarioConfig& config, ShardEnv env)
-    : config_(std::make_unique<ScenarioConfig>(config)), env_(std::move(env)) {
+TrainShard::TrainShard(ScenarioConfig config, ShardEnv env)
+    : config_(std::make_unique<ScenarioConfig>(std::move(config))), env_(env) {
     build();
 }
 
@@ -48,27 +48,18 @@ void TrainShard::build() {
         }
     }
 
-    // Keys for nodes and data centers (the permissioned membership). The
-    // fork label is prefixed per shard so a fleet's shards draw
-    // decorrelated key streams; the empty prefix reproduces the classic
-    // single-consist streams bit for bit.
-    Rng keyrng = sim.rng().fork(env_.rng_label + "keys");
+    // Keys for nodes and data centers (the permissioned membership). Each
+    // shard draws its own DC keypairs: a data center's port on this
+    // consist signs with this consist's key.
+    Rng keyrng = sim.rng().fork("keys");
     std::vector<crypto::KeyPair> node_keys;
     for (std::uint32_t i = 0; i < cfg.n; ++i) {
         node_keys.push_back(env_.provider->generate(keyrng));
         directory_.register_key(i, node_keys.back().pub);
     }
-    if (env_.dc_keys != nullptr) {
-        // Fleet-shared data centers: one DC keypair signs for every shard,
-        // so each shard's directory registers the shared public keys.
-        for (std::uint32_t d = 0; d < env_.dc_keys->size(); ++d) {
-            directory_.register_key(exporter::dc_key_id(d), (*env_.dc_keys)[d].pub);
-        }
-    } else {
-        for (std::uint32_t d = 0; d < cfg.dc_count; ++d) {
-            dc_keys_.push_back(env_.provider->generate(keyrng));
-            directory_.register_key(exporter::dc_key_id(d), dc_keys_.back().pub);
-        }
+    for (std::uint32_t d = 0; d < cfg.dc_count; ++d) {
+        dc_keys_.push_back(env_.provider->generate(keyrng));
+        directory_.register_key(exporter::dc_key_id(d), dc_keys_.back().pub);
     }
 
     // Safety auditor: an observer outside the deployment with its own key
@@ -95,7 +86,7 @@ void TrainShard::build() {
     train::GeneratorConfig gen_cfg;
     gen_cfg.payload_size = cfg.payload_size;
     generator_ = std::make_unique<train::SignalGenerator>(
-        gen_cfg, sim.rng().fork(env_.rng_label + "atp"));
+        gen_cfg, sim.rng().fork("atp"));
     bus_ = std::make_unique<bus::Bus>(sim, cfg.bus_cycle, *generator_);
 
     // Timetable-driven telegram-rate windows: the bus master retunes its
@@ -166,7 +157,7 @@ void TrainShard::build() {
         train::GeneratorConfig extra_gen;
         extra_gen.payload_size = spec.payload_size;
         rig.generator = std::make_unique<train::SignalGenerator>(
-            extra_gen, sim.rng().fork(env_.rng_label + "extra-bus-" + std::to_string(b)));
+            extra_gen, sim.rng().fork("extra-bus-" + std::to_string(b)));
         rig.bus = std::make_unique<bus::Bus>(sim, spec.cycle, *rig.generator);
         for (auto& node : nodes_) {
             rig.taps.push_back(

@@ -6,12 +6,12 @@
 // plan (runtime/fault_plan.hpp): crashes, restarts, link flaps, egress
 // ramps, rate windows and CPU profiles all run here.
 //
-// runtime::Scenario composes exactly one TrainShard with data centers and
-// measurement (the paper's single-consist testbed); fleet::Fleet composes
-// many of them on one shared virtual clock — each shard gets its own
-// net::Network (trains do not talk to each other) while all shards share
-// the simulation, so a 100-train timetable is still one deterministic
-// event sequence.
+// fleet::Fleet composes one TrainShard per train on one shared virtual
+// clock — each shard gets its own net::Network (trains do not talk to
+// each other) while all shards share the simulation, so a 100-train
+// timetable is still one deterministic event sequence. runtime::Scenario
+// (the paper's single-consist testbed) is a one-train Fleet plus the
+// measurement window.
 #pragma once
 
 #include <memory>
@@ -32,27 +32,18 @@ struct ScenarioConfig;  // defined in runtime/scenario.hpp
 inline constexpr net::EndpointId kDcEndpointBase = 100;
 
 /// The substrate one shard plugs into. In a fleet every shard shares the
-/// simulation (one virtual clock) but owns its network; the harness picks
-/// distinct rng labels per shard so fault/jitter streams decorrelate.
+/// simulation (one virtual clock) but owns its network. Shards fork their
+/// rng streams with the same labels; Rng::fork advances the parent
+/// stream, so each shard still draws decorrelated streams.
 struct ShardEnv {
     sim::Simulation* sim = nullptr;
     net::Network* net = nullptr;
     crypto::CryptoProvider* provider = nullptr;
-
-    /// Prefix for named rng forks ("" reproduces the classic single-consist
-    /// stream labels, keeping Scenario runs on their historical seeds).
-    std::string rng_label;
-
-    /// Fleet-shared data-center keys: when set, the shard registers these
-    /// public keys instead of generating its own DC keys, so one DC
-    /// keypair verifies against every shard's directory. Null = the shard
-    /// generates `config.dc_count` keys itself (single-consist mode).
-    const std::vector<crypto::KeyPair>* dc_keys = nullptr;
 };
 
 class TrainShard {
 public:
-    TrainShard(const ScenarioConfig& config, ShardEnv env);
+    TrainShard(ScenarioConfig config, ShardEnv env);
     ~TrainShard();
 
     TrainShard(const TrainShard&) = delete;
@@ -93,12 +84,16 @@ public:
 
     crypto::KeyDirectory& directory() noexcept { return directory_; }
 
+    /// The keypair data center d signs with on this consist (drawn by the
+    /// shard after the node keys and registered in its directory).
+    const crypto::KeyPair& dc_key(DataCenterId d) const { return dc_keys_.at(d); }
+
     bus::Bus& train_bus() noexcept { return *bus_; }
     net::Network& network() noexcept { return *env_.net; }
 
-    /// DC keys this shard generated (single-consist mode only; empty when
-    /// the env supplied fleet-shared keys).
-    const std::vector<crypto::KeyPair>& generated_dc_keys() const noexcept { return dc_keys_; }
+    /// The shard's own config copy (the harness's template with this
+    /// train's fault plan, store root and auditor filled in).
+    const ScenarioConfig& config() const noexcept { return *config_; }
 
 private:
     struct SourceTap;
@@ -115,8 +110,6 @@ private:
     /// and the DCs (outbound only when asymmetric). Emits the link trace
     /// event.
     void apply_flap(const FaultPlan::LinkFlap& flap, bool blocked);
-
-    const ScenarioConfig& config() const noexcept { return *config_; }
 
     std::unique_ptr<ScenarioConfig> config_;  ///< shard-local copy
     ShardEnv env_;

@@ -159,7 +159,7 @@ private:
 
 /// Remaps node ids into a disjoint pid range before forwarding, so several
 /// shards sharing one Tracer land in distinct process rows of the merged
-/// fleet trace (train t node i -> 1000*(t+1)+i; shared DCs keep 100+d).
+/// fleet trace (train t node i -> 1000*t+i; shared DCs keep 100+d).
 /// kNoNode (fleet-wide events such as LTE flaps) passes through unchanged.
 class OffsetSink final : public TraceSink {
 public:

@@ -183,11 +183,15 @@ TEST(Fleet, DcFailoverLosesNoExportedBlocks) {
 
 TEST(Fleet, TinyIngestQueueDropsButStaysSafe) {
     // One single-core frontend with a one-deep queue, hammered by four
-    // shards exporting every 1.5 s: proof verification occupies the core
-    // for tens of virtual ms, so concurrent rounds must shed messages.
+    // shards exporting every 750 ms over a jitter-free uplink: a round's
+    // replica replies reach the frontend together while proof
+    // verification occupies the core for tens of virtual ms, so the
+    // frontend must shed messages (on every seed 1-16; with the LTE
+    // jitter the replies spread out and drops turn rare).
     FleetConfig cfg = base_config(4);
     cfg.train.payload_size = 1024;
-    cfg.export_period = milliseconds(1500);
+    cfg.train.lte_link.jitter = Duration::zero();
+    cfg.export_period = milliseconds(750);
     cfg.dc_ingest_queue = 1;  // absurdly small shared frontend
     cfg.dc_ingest_cores = 1;
     Fleet fleet(cfg);

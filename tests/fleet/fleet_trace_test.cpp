@@ -48,8 +48,9 @@ TEST(FleetTrace, PidPlanSeparatesTrainsAndDataCenters) {
     const std::set<unsigned> pids = pids_in(json);
     ASSERT_FALSE(pids.empty());
 
-    // Each train's 4 nodes occupy 1000*(t+1)..+3; DCs sit at 100+d. No
-    // event may fall outside the plan (that would mean an unmapped sink).
+    // Each train's 4 nodes occupy 1000*t..+3 (train 0 keeps the single
+    // consist's pids 0..3); DCs sit at 100+d. No event may fall outside
+    // the plan (that would mean an unmapped sink).
     for (const unsigned pid : pids) {
         const bool is_dc = pid == dc_trace_pid(0) || pid == dc_trace_pid(1);
         const bool is_train = (pid >= trace_pid(0, 0) && pid <= trace_pid(0, 3)) ||

@@ -15,7 +15,6 @@ SoakOptions quick_single() {
     so.base.seed = 1;
     so.base.bus_cycle = milliseconds(512);
     so.base.payload_size = 256;
-    so.fleet = false;
     so.dc_count = 2;
     so.journey_seed = 7;
     so.recipes = 3;
@@ -53,7 +52,6 @@ TEST(SoakHarness, SameSeedSoakReportsAreByteIdentical) {
 
 TEST(SoakHarness, FleetSoakFinishesCleanAndDeterministic) {
     SoakOptions so = quick_single();
-    so.fleet = true;
     so.trains = 2;
     so.base.bus_cycle = milliseconds(1024);
     so.horizon = seconds(1800);

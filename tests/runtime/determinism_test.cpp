@@ -104,7 +104,6 @@ TEST(Determinism, SoakJourneySegmentIdenticalOnRerun) {
         so.base.seed = 1;
         so.base.bus_cycle = milliseconds(512);
         so.base.payload_size = 256;
-        so.fleet = false;
         so.dc_count = 2;
         so.journey_seed = 7;
         so.recipes = 2;

@@ -15,14 +15,17 @@
 //                [--health FILE] [--timeseries FILE] [--fail-on-alarm]
 //
 // Fleet mode (--fleet N): run N independent train shards on one virtual
-// clock, exporting into shared data centers (src/fleet). Reuses --seed,
-// --cycle-ms, --payload, --block-size, --batch-size, --duration-s,
-// --crypto, --store-dir (per-train subdirectories), --audit, --prof,
-// --fail-on-alarm, --json and --trace (one merged Perfetto/Chrome trace:
-// train t node i in pid band 1000*(t+1)+i, shared DCs at pid 100+d,
-// including DC ingest-queue and DC-to-DC sync spans). The single-consist
-// fault flags --crash, --flap, --crash-primary-at-s and --adversary apply
-// to train 0. Plus:
+// clock, exporting into shared data centers (src/fleet; a single consist
+// is the same machinery with one train). Reuses --seed, --cycle-ms,
+// --payload, --block-size, --batch-size, --duration-s, --crypto,
+// --store-dir (per-train subdirectories DIR/train-<t>/node-<i>), --audit,
+// --prof, --fail-on-alarm, --json and --trace (one merged Perfetto/Chrome
+// trace: train t node i at pid 1000*t+i, so train 0 keeps the
+// single-consist pids; shared DCs at pid 100+d, including DC ingest-queue
+// and DC-to-DC sync spans). The single-consist fault flags --crash,
+// --flap, --crash-primary-at-s and --adversary apply to train 0. With
+// --fleet-dcs 0, train 0 of a fleet records exactly the chains the single
+// consist of the same seed records. Plus:
 //
 //   zugchain_sim --fleet N [--fleet-dcs N] [--fleet-chaos]
 //                [--export-period-s S] [--trains-per-cell N]
@@ -81,12 +84,18 @@
 // "mixed" is one of each. Adaptive RTT-tracking timeouts are on by
 // default; --fixed-timeouts restores the paper's fixed schedule —
 // the pairing that makes gray failures bite.
+//
+// A flag the chosen mode never reads (say --health with --fleet, or
+// --gray with --soak) draws a warning on stderr; the run goes on.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "faults/auditor.hpp"
@@ -148,6 +157,9 @@ struct Args {
     std::uint32_t soak_recipes = 3;
     double soak_day_s = 86'400.0;
 
+    /// Every flag given on the command line (for the ignored-flag check).
+    std::set<std::string> given;
+
     static void usage(const char* argv0) {
         std::fprintf(stderr,
                      "usage: %s [--mode zugchain|baseline] [--n N] [--f F] [--cycle-ms MS]\n"
@@ -197,6 +209,7 @@ struct Args {
         };
         for (int i = 1; i < argc; ++i) {
             const std::string flag = argv[i];
+            args.given.insert(flag);
             if (flag == "--mode") {
                 const std::string v = need_value(i);
                 if (v == "zugchain") {
@@ -426,10 +439,9 @@ void write_text_file(const std::string& path, const std::string& content) {
 int run_soak_mode(const Args& args) {
     journey::SoakOptions so;
     so.base = args.cfg;
-    so.fleet = args.fleet > 0;
     so.trains = args.fleet > 0 ? args.fleet : 1;
-    so.dc_count = so.fleet ? args.fleet_dcs
-                           : (args.cfg.dc_count > 0 ? args.cfg.dc_count : 2);
+    so.dc_count = args.fleet > 0 ? args.fleet_dcs
+                                 : (args.cfg.dc_count > 0 ? args.cfg.dc_count : 2);
     so.horizon = millis_f(args.soak_hours * 3'600'000.0);
     so.segment = millis_f(args.soak_segment_s * 1000.0);
     // A soak exports on a long-haul cadence by default; an explicit
@@ -470,22 +482,21 @@ int run_fleet(const Args& args) {
     cfg.trains_per_cell = args.trains_per_cell;
     cfg.export_period = millis_f(args.export_period_s * 1000.0);
     cfg.duration = args.cfg.duration;
-    cfg.store_root = args.cfg.store_root;
+    cfg.store_root = std::exchange(cfg.train.store_root, std::nullopt);
     cfg.audit = args.audit;
+    if (cfg.dc_count > 0) {
+        cfg.train.delete_quorum = std::max<std::size_t>(
+            1, std::min<std::size_t>(cfg.train.delete_quorum, cfg.dc_count));
+    }
     if (args.fleet_chaos) {
         cfg.faults = fleet::staggered_drill(cfg.trains, cfg.dc_count, cfg.warmup + cfg.duration);
     }
-    // The single-consist fault flags land on train 0, like --adversary.
+    // The single-consist fault flags and --adversary land on train 0.
     cfg.faults.trains[0].merge(args.cfg);
     static_cast<runtime::FaultPlan&>(cfg.train) = {};
+    cfg.byzantine[0] = std::exchange(cfg.train.byzantine, {});
     if (!args.gray.empty()) {
         cfg.faults.merge(compile_gray_profile(args, cfg.trains, cfg.faults).faults);
-    }
-    if (args.audit_liveness) {
-        std::fprintf(stderr, "warning: --audit-liveness is single-consist only; ignored\n");
-    }
-    for (const auto& [node, byz] : args.cfg.byzantine) {
-        cfg.byzantine[0][node] = byz;  // adversaries land on train 0
     }
 
     // One merged fleet trace: every shard is offset into its own pid band
@@ -655,6 +666,49 @@ void print_json_report(const Args& args, const runtime::ScenarioReport& r, bool 
     std::printf("}\n");
 }
 
+/// The four run modes, as bits for the ignored-flag table.
+enum RunMode : unsigned { kConsist = 1, kFleet = 2, kConsistSoak = 4, kFleetSoak = 8 };
+constexpr unsigned kSoak = kConsistSoak | kFleetSoak;
+
+/// Flags a mode accepts but never reads. Giving one is not an error (a
+/// recipe line may be reused across modes); it draws a warning.
+constexpr struct {
+    const char* flag;
+    unsigned modes;
+} kIgnoredFlags[] = {
+    {"--dcs", kFleet | kFleetSoak},
+    {"--export-at-s", kFleet | kSoak},
+    {"--health", kFleet | kSoak},
+    {"--timeseries", kFleet | kSoak},
+    {"--metrics", kFleet | kSoak},
+    {"--audit-liveness", kFleet | kSoak},
+    {"--trace", kSoak},
+    {"--gray", kSoak},
+    {"--gray-limp", kSoak},
+    {"--fail-on-alarm", kSoak},
+    {"--fleet-dcs", kConsist | kConsistSoak},
+    {"--fleet-chaos", kConsist | kSoak},
+    {"--trains-per-cell", kConsist | kSoak},
+    {"--rollup", kConsist | kSoak},
+    {"--export-period-s", kConsist},
+    {"--journey", kConsist | kFleet},
+    {"--soak-segment-s", kConsist | kFleet},
+    {"--soak-recipes", kConsist | kFleet},
+    {"--soak-day-s", kConsist | kFleet},
+};
+
+void warn_ignored_flags(const Args& args) {
+    const bool fleet = args.fleet > 0;
+    const bool soak = args.soak_hours > 0;
+    const RunMode mode = soak ? (fleet ? kFleetSoak : kConsistSoak) : (fleet ? kFleet : kConsist);
+    const char* name = soak ? (fleet ? "fleet soak" : "soak") : (fleet ? "fleet" : "single-consist");
+    for (const auto& f : kIgnoredFlags) {
+        if ((f.modes & mode) != 0 && args.given.count(f.flag) != 0) {
+            std::fprintf(stderr, "warning: %s is ignored in %s mode\n", f.flag, name);
+        }
+    }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -665,13 +719,8 @@ int main(int argc, char** argv) {
     prof::Profiler profiler;
     if (args.prof) prof::Profiler::set_active(&profiler);
 
-    if (args.soak_hours > 0) {
-        if (args.audit_liveness || !args.gray.empty()) {
-            std::fprintf(stderr,
-                         "warning: --audit-liveness/--gray are ignored in soak mode\n");
-        }
-        return run_soak_mode(args);
-    }
+    warn_ignored_flags(args);
+    if (args.soak_hours > 0) return run_soak_mode(args);
     if (args.fleet > 0) return run_fleet(args);
 
     // Tracing/metrics: one sink shared by all nodes and data centers.
