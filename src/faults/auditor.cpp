@@ -28,11 +28,20 @@ void SafetyAuditor::configure(std::uint32_t f, SeqNo checkpoint_interval, Verifi
 }
 
 void SafetyAuditor::note_received(NodeId node, const crypto::Digest& payload_digest) {
+    // The logged set is kept so a late bus duplicate of a logged payload
+    // is not mistaken for an open input.
+    if (const auto logged = logged_.find(node);
+        logged != logged_.end() && logged->second.contains(payload_digest)) {
+        return;
+    }
     received_[node].insert(payload_digest);
 }
 
 void SafetyAuditor::note_logged(NodeId node, const crypto::Digest& payload_digest) {
     logged_[node].insert(payload_digest);
+    if (const auto received = received_.find(node); received != received_.end()) {
+        received->second.erase(payload_digest);
+    }
 }
 
 void SafetyAuditor::note_crashed(NodeId node) {
@@ -40,16 +49,10 @@ void SafetyAuditor::note_crashed(NodeId node) {
     // covers payloads a *correct, running* node accepted. The logged set
     // is kept — the durable chain survives the crash.
     received_[node].clear();
-    sig_verified_to_.erase(node);  // the store may restart below the cursor
-}
-
-void SafetyAuditor::compact() {
-    for (auto& [node, received] : received_) {
-        const auto logged = logged_.find(node);
-        if (logged == logged_.end()) continue;
-        std::erase_if(received,
-                      [&](const crypto::Digest& d) { return logged->second.contains(d); });
-    }
+    // The store is reloaded at restart and may come back below (or beside)
+    // either cursor.
+    sig_verified_to_.erase(node);
+    validated_.erase(node);
 }
 
 void SafetyAuditor::violate(ViolationKind kind, NodeId where, Height height,
@@ -65,10 +68,35 @@ void SafetyAuditor::violate(ViolationKind kind, NodeId where, Height height,
 
 void SafetyAuditor::check_store(NodeId where, const chain::BlockStore& store) {
     report_.checks += 1;
-    if (!store.validate(store.base_height(), store.head_height())) {
-        violate(ViolationKind::kBrokenHashLink, where, store.head_height(),
-                "store fails hash-link/payload-root validation");
+    const Height base = store.base_height();
+    const Height head = store.head_height();
+    // Blocks up to a still-valid cursor were validated by an earlier pass
+    // and a store never rewrites a retained block in place, so only the
+    // suffix above the cursor and its link to the cursor hash need
+    // checking. Anything else (no cursor, pruned or rebased past it, a
+    // different block at its height) validates from the base.
+    bool valid = false;
+    const auto cursor = validated_.find(where);
+    const chain::BlockHeader* at_cursor =
+        cursor != validated_.end() && cursor->second.height >= base &&
+                cursor->second.height <= head
+            ? store.header(cursor->second.height)
+            : nullptr;
+    if (at_cursor != nullptr && at_cursor->hash() == cursor->second.hash) {
+        const Height from = cursor->second.height + 1;
+        const chain::BlockHeader* next = from <= head ? store.header(from) : nullptr;
+        valid = from > head || (next != nullptr && next->parent_hash == cursor->second.hash &&
+                                store.validate(from, head));
+    } else {
+        valid = store.validate(base, head);
     }
+    if (!valid) {
+        validated_.erase(where);
+        violate(ViolationKind::kBrokenHashLink, where, head,
+                "store fails hash-link/payload-root validation");
+        return;
+    }
+    validated_[where] = StoreCursor{head, store.head_hash()};
 }
 
 void SafetyAuditor::check_origin_signatures(const ReplicaView& r) {
@@ -82,11 +110,7 @@ void SafetyAuditor::check_origin_signatures(const ReplicaView& r) {
         for (const chain::LoggedRequest& lr : b->requests) {
             if (lr.origin == kNoNode) continue;  // null filler slot
             report_.checks += 1;
-            pbft::Request probe;
-            probe.payload = lr.payload;
-            probe.origin = lr.origin;
-            probe.origin_seq = lr.origin_seq;
-            const Bytes sb = probe.signing_bytes();
+            const Bytes sb = pbft::request_signing_bytes(lr.payload, lr.origin, lr.origin_seq);
             if (!verifier_(lr.origin, sb, lr.sig)) {
                 violate(ViolationKind::kBadOriginSignature, r.id, h,
                         format("request from origin {} seq {} has an invalid signature",
@@ -113,10 +137,10 @@ void SafetyAuditor::check_prefix(const ReplicaView& r, const ReplicaView& ref) {
 
 void SafetyAuditor::check_lost_inputs(const ReplicaView& r) {
     if (r.layer == nullptr) return;  // baseline mode: no open-request tracking
-    const auto logged = logged_.find(r.id);
-    for (const crypto::Digest& d : received_[r.id]) {
+    const auto received = received_.find(r.id);
+    if (received == received_.end()) return;
+    for (const crypto::Digest& d : received->second) {  // received, not logged
         report_.checks += 1;
-        if (logged != logged_.end() && logged->second.contains(d)) continue;
         if (r.layer->is_open(d)) continue;
         violate(ViolationKind::kLostInput, r.id, 0,
                 format("payload {} received but neither logged nor open",
@@ -134,9 +158,10 @@ void SafetyAuditor::check_data_center(const DataCenterView& dc, const ReplicaVie
             violate(ViolationKind::kExportedBeyondProof, where, dc.store->head_height(),
                     format("holds blocks above proof-covered height {}", covered));
         }
-        report_.checks += 1;
-        std::set<NodeId> signers;
-        if (verifier_) {
+        const auto verified = verified_proof_.find(where);
+        if (verifier_ && (verified == verified_proof_.end() || verified->second != *dc.proof)) {
+            report_.checks += 1;
+            std::set<NodeId> signers;
             for (const pbft::Checkpoint& c : dc.proof->messages) {
                 if (c.seq != dc.proof->seq || c.state != dc.proof->state) continue;
                 const Bytes sb = c.signing_bytes();
@@ -147,6 +172,8 @@ void SafetyAuditor::check_data_center(const DataCenterView& dc, const ReplicaVie
                 violate(ViolationKind::kExportProofInvalid, where, covered,
                         format("proof carries {} distinct valid signers, need {}",
                                signers.size(), 2 * f_ + 1));
+            } else {
+                verified_proof_[where] = *dc.proof;
             }
         }
     }

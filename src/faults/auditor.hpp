@@ -18,6 +18,22 @@
 // recorder captures them), emitted as kAuditViolation trace events and
 // summarized in a typed report that `zugchain_sim --audit` turns into
 // exit code 4.
+//
+// Every check is incremental, so a pass costs O(new blocks + open
+// inputs), not O(retained chain + every input ever received):
+//   * each audited store keeps a cursor {height, header hash} of the last
+//     head that validated clean; a pass validates only the suffix above
+//     it plus its link to the cursor hash. The cursor is dropped on a
+//     crash (the store is reloaded at restart) and on a failed
+//     validation, and is ignored when it has left [base, head] (a prune
+//     or rebase past it) or no longer matches the store's header there,
+//     so those passes validate from the base again;
+//   * origin signatures are verified once per block, above a per-replica
+//     height cursor;
+//   * the lost-input taps drain at log time, so a pass examines only
+//     received-but-unlogged digests;
+//   * a data center's checkpoint proof is verified once per distinct
+//     proof.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +76,12 @@ struct Violation {
 
 struct AuditReport {
     std::uint64_t audits = 0;  ///< audit passes performed
-    std::uint64_t checks = 0;  ///< individual invariant checks evaluated
+    /// Invariant checks evaluated, counting work actually done: per pass
+    /// one per store, per replica or DC compared with the reference and
+    /// per DC proof coverage, plus one per origin signature verified, per
+    /// open input examined and per DC proof verified (an unchanged proof
+    /// is not verified again).
+    std::uint64_t checks = 0;
     std::vector<Violation> violations;
 
     bool clean() const noexcept { return violations.empty(); }
@@ -97,27 +118,22 @@ public:
     bool is_compromised(NodeId id) const { return compromised_.contains(id); }
 
     // -- runtime taps (wired by the scenario / node) --
-    /// A node received a bus payload (Alg. 1 input).
+    /// A node received a bus payload (Alg. 1 input). Ignored when the node
+    /// already logged it (a late bus duplicate).
     void note_received(NodeId node, const crypto::Digest& payload_digest);
-    /// A node logged a payload on its chain (execution or state transfer).
+    /// A node logged a payload on its chain (execution or state transfer);
+    /// the payload leaves the node's received-but-unlogged set.
     void note_logged(NodeId node, const crypto::Digest& payload_digest);
-    /// A node crashed: its volatile inputs are legitimately lost.
+    /// A node crashed: its volatile inputs are legitimately lost, and its
+    /// store is reloaded at restart, so its store cursors are dropped.
     void note_crashed(NodeId node);
 
-    /// One audit pass over the ground truth. Cheap enough to run
-    /// periodically; signature checks are incremental per replica.
+    /// One audit pass over the ground truth. Incremental (see the file
+    /// comment), so it is cheap enough to run periodically.
     void audit(const std::vector<ReplicaView>& replicas,
                const std::vector<DataCenterView>& dcs);
 
     const AuditReport& report() const noexcept { return report_; }
-
-    /// Drops received-input digests that are already logged on their
-    /// node. Semantics-preserving (the no-lost-input check only examines
-    /// received-but-unlogged digests, and the logged sets are kept so a
-    /// late bus duplicate of a logged payload still matches); long soaks
-    /// call this after each clean audit pass to keep the tap state
-    /// proportional to the open window instead of the whole journey.
-    void compact();
 
 private:
     void violate(ViolationKind kind, NodeId where, Height height, std::string detail);
@@ -134,9 +150,18 @@ private:
     AuditReport report_;
     std::set<NodeId> compromised_;
     std::set<std::tuple<int, NodeId, Height>> seen_;  ///< violation dedup
+    /// Per node: received, not yet logged (the open-or-lost candidates).
     std::map<NodeId, std::unordered_set<crypto::Digest, crypto::DigestHash>> received_;
     std::map<NodeId, std::unordered_set<crypto::Digest, crypto::DigestHash>> logged_;
     std::map<NodeId, Height> sig_verified_to_;  ///< per-replica incremental cursor
+
+    /// Last head of a store that validated clean.
+    struct StoreCursor {
+        Height height = 0;
+        crypto::Digest hash{};
+    };
+    std::map<NodeId, StoreCursor> validated_;  ///< by replica id, 100 + dc for DCs
+    std::map<NodeId, pbft::CheckpointProof> verified_proof_;  ///< by 100 + dc
 };
 
 }  // namespace zc::faults

@@ -177,9 +177,8 @@ public:
     const FleetIndex& index() const noexcept { return index_; }
     const FleetRollup& rollup() const noexcept { return rollup_; }
     const health::HealthMonitor* monitor(TrainId t) const;
-    /// Train t's safety auditor, null when auditing is off (mutable: the
-    /// soak runner compacts tap state between segments).
-    faults::SafetyAuditor* auditor(TrainId t) const {
+    /// Train t's safety auditor, null when auditing is off.
+    const faults::SafetyAuditor* auditor(TrainId t) const {
         return auditors_.empty() ? nullptr : auditors_.at(t);
     }
     sim::Simulation& sim() noexcept { return sim_; }

@@ -203,7 +203,7 @@ SoakReport run_soak(const SoakOptions& options) {
 
     fleet::Fleet fl(std::move(fc));
     std::vector<const health::HealthMonitor*> monitors;
-    std::vector<faults::SafetyAuditor*> auditors;
+    std::vector<const faults::SafetyAuditor*> auditors;
     for (std::uint32_t t = 0; t < options.trains; ++t) {
         if (const auto* m = fl.monitor(t)) monitors.push_back(m);
         if (auto* a = fl.auditor(t)) auditors.push_back(a);
@@ -286,7 +286,6 @@ SoakReport run_soak(const SoakOptions& options) {
                 }
                 audit_seen[a] = violations.size();
                 audit_total += violations.size();
-                auditors[a]->compact();
             }
         }
 

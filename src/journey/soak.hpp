@@ -10,7 +10,7 @@
 // The runner drives a fleet::Fleet — of one train for a single consist —
 // in fixed virtual-time segments. At each boundary it:
 //   * runs a SafetyAuditor pass (fork/hash-link/signature/no-lost-input/
-//     export-proof invariants) and compacts the auditor's tap state,
+//     export-proof invariants),
 //   * sweeps the health monitors' alarm lists,
 //   * samples every bounded-resource metric (per-node logical memory and
 //     each of its gauges, the simulator's pending-event count, DC ingest

@@ -31,13 +31,17 @@ crypto::Digest decode_digest(codec::Reader& r) { return r.raw_array<32>(); }
 
 // ---- Request ----------------------------------------------------------
 
-Bytes Request::signing_bytes() const {
+Bytes request_signing_bytes(BytesView payload, NodeId origin, std::uint64_t origin_seq) {
     codec::Writer w(payload.size() + 32);
     w.str("req");
     w.bytes(payload);
     w.u32(origin);
     w.u64(origin_seq);
     return w.take();
+}
+
+Bytes Request::signing_bytes() const {
+    return request_signing_bytes(payload, origin, origin_seq);
 }
 
 void Request::encode(codec::Writer& w) const {

@@ -52,6 +52,10 @@ struct Request {
     friend bool operator==(const Request&, const Request&) = default;
 };
 
+/// The bytes an origin signs for a request: `Request::signing_bytes()`,
+/// and the auditor's check of a logged request's origin signature.
+Bytes request_signing_bytes(BytesView payload, NodeId origin, std::uint64_t origin_seq);
+
 /// `Request::digest()` of each request, in order.
 std::vector<crypto::Digest> request_digests(const std::vector<Request>& requests);
 

@@ -192,7 +192,7 @@ void Replica::flush_batch() {
     pp.req_digest = PrePrepare::batch_digest(open_batch_digests_);
     pp.primary = config_.id;
     pp.sig = crypto_.sign(pp.signing_bytes());
-    for (const crypto::Digest& d : open_batch_digests_) known_requests_[d] = seq;
+    for (const crypto::Digest& d : open_batch_digests_) remember_request(d, seq);
     open_batch_.clear();
     open_batch_digests_.clear();
     open_batch_bytes_ = 0;
@@ -308,7 +308,7 @@ void Replica::accept_preprepare(const PrePrepare& pp, const std::vector<crypto::
     account_slot_bytes(s, pp.requests_bytes() + 96);
     for (std::size_t i = 0; i < pp.requests.size(); ++i) {
         const Request& r = pp.requests[i];
-        if (!r.is_null()) known_requests_[digests[i]] = pp.seq;
+        if (!r.is_null()) remember_request(digests[i], pp.seq);
         trace_request(trace::Phase::kPrePrepare, r, pp.seq);
         app_.preprepared(r);
     }
@@ -548,7 +548,35 @@ void Replica::garbage_collect(SeqNo stable_seq) {
     // retransmissions of decided requests are still recognized.
     const SeqNo horizon =
         stable_seq > config_.watermark_window ? stable_seq - config_.watermark_window : 0;
-    std::erase_if(known_requests_, [horizon](const auto& kv) { return kv.second <= horizon; });
+    while (known_front_ < known_by_seq_.size() &&
+           known_by_seq_[known_front_].first <= horizon) {
+        forget_known(known_by_seq_[known_front_++]);
+    }
+    if (2 * known_front_ >= known_by_seq_.size()) {
+        known_by_seq_.erase(known_by_seq_.begin(),
+                            known_by_seq_.begin() + static_cast<std::ptrdiff_t>(known_front_));
+        known_front_ = 0;
+    }
+}
+
+void Replica::remember_request(const crypto::Digest& digest, SeqNo seq) {
+    known_requests_[digest] = seq;
+    if (known_by_seq_.size() == known_front_ || known_by_seq_.back().first <= seq) {
+        known_by_seq_.emplace_back(seq, digest);
+        return;
+    }
+    // A pre-prepare that arrived out of order: keep the index sorted.
+    const auto at = std::upper_bound(
+        known_by_seq_.begin() + static_cast<std::ptrdiff_t>(known_front_), known_by_seq_.end(),
+        seq, [](SeqNo s, const auto& entry) { return s < entry.first; });
+    known_by_seq_.emplace(at, seq, digest);
+}
+
+void Replica::forget_known(const std::pair<SeqNo, crypto::Digest>& entry) {
+    const auto known = known_requests_.find(entry.second);
+    if (known != known_requests_.end() && known->second == entry.first) {
+        known_requests_.erase(known);
+    }
 }
 
 // ---- view change -------------------------------------------------------
@@ -856,8 +884,10 @@ void Replica::enter_view(View v) {
             ++it;
         }
     }
-    std::erase_if(known_requests_,
-                  [this](const auto& kv) { return kv.second > last_exec_; });
+    while (known_by_seq_.size() > known_front_ && known_by_seq_.back().first > last_exec_) {
+        forget_known(known_by_seq_.back());
+        known_by_seq_.pop_back();
+    }
 }
 
 void Replica::install_reproposals(const std::vector<PrePrepare>& reproposals) {

@@ -273,6 +273,10 @@ private:
     void store_checkpoint(const Checkpoint& c);
     void make_stable(SeqNo seq, const crypto::Digest& state);
     void garbage_collect(SeqNo stable_seq);
+    /// Records `digest` as known at `seq` (dedup set and its seq index).
+    void remember_request(const crypto::Digest& digest, SeqNo seq);
+    /// Drops one seq-index entry's digest, unless it was re-recorded since.
+    void forget_known(const std::pair<SeqNo, crypto::Digest>& entry);
 
     // view change
     void start_view_change(View target);
@@ -324,6 +328,13 @@ private:
 
     // PBFT-level request dedup: full-request digests in flight or decided.
     std::unordered_map<crypto::Digest, SeqNo, crypto::DigestHash> known_requests_;
+    // The same digests in seq order from `known_front_` on, so checkpoint
+    // GC and the view-change trim visit only the expired ends. A re-proposed
+    // digest is listed once per seq it had; only the entry for its current
+    // seq erases it. (A vector with a front offset: unlike a deque it
+    // allocates nothing until the first request.)
+    std::vector<std::pair<SeqNo, crypto::Digest>> known_by_seq_;
+    std::size_t known_front_ = 0;
 
     std::deque<Request> pending_;  // watermark-blocked proposals (primary, bounded)
 

@@ -78,8 +78,9 @@ struct Node::ConsensusAdapter final : zugchain::ConsensusHandle {
 /// LOG sink for ZugChain mode: records latency, feeds the chain.
 struct Node::LogShim final : zugchain::LogSink {
     explicit LogShim(Node& node) : node(node) {}
-    void log(const pbft::Request& request, NodeId origin, SeqNo seq) override {
-        node.record_logged(request);
+    void log(const pbft::Request& request, const crypto::Digest& payload_digest, NodeId origin,
+             SeqNo seq) override {
+        node.record_logged(request, payload_digest);
         node.chain_app_->log(request, origin, seq);
     }
     Node& node;
@@ -94,7 +95,7 @@ struct Node::AppShim final : pbft::Application {
         if (node.options_.mode == Mode::kZugChain) {
             node.layer_->deliver(request, seq);
         } else {
-            if (!request.is_null()) node.record_logged(request);
+            if (!request.is_null()) node.record_logged(request, request.payload_digest());
             node.baseline_app_->deliver(request, seq);
         }
     }
@@ -439,8 +440,7 @@ void Node::record_receive_time(const crypto::Digest& payload_digest) {
     if (receive_times_.size() > 8192) receive_times_.clear();
 }
 
-void Node::record_logged(const pbft::Request& request) {
-    const crypto::Digest digest = request.payload_digest();
+void Node::record_logged(const pbft::Request& request, const crypto::Digest& digest) {
     if (options_.auditor != nullptr) options_.auditor->note_logged(options_.id, digest);
     const auto it = receive_times_.find(digest);
     if (it != receive_times_.end()) {

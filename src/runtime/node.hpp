@@ -186,7 +186,7 @@ private:
     void maybe_fabricate(const bus::Telegram& telegram);
     void maybe_duplicate();
     void record_receive_time(const crypto::Digest& payload_digest);
-    void record_logged(const pbft::Request& request);
+    void record_logged(const pbft::Request& request, const crypto::Digest& payload_digest);
     void send_enveloped(net::EndpointId to, Channel channel, Bytes body);
 
     NodeOptions options_;

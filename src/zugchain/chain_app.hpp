@@ -14,11 +14,10 @@
 #include "chain/block_store.hpp"
 #include "crypto/context.hpp"
 #include "pbft/replica.hpp"
-#include "zugchain/layer.hpp"
 
 namespace zc::zugchain {
 
-class ChainApp final : public LogSink, public pbft::Application {
+class ChainApp final : public pbft::Application {
 public:
     /// `block_interval` must equal the replica's checkpoint_interval: the
     /// paper creates one checkpoint per block.
@@ -43,8 +42,8 @@ public:
     /// Number of trim agreements executed (tests/observability).
     std::uint64_t trims_executed() const noexcept { return trims_executed_; }
 
-    // -- LogSink (LOG upcall from the communication layer) ---------------
-    void log(const pbft::Request& request, NodeId origin, SeqNo seq) override;
+    // -- LOG upcall from the communication layer (forwarded by the node) --
+    void log(const pbft::Request& request, NodeId origin, SeqNo seq);
 
     // -- pbft::Application (chained behind the layer) --------------------
     void deliver(const pbft::Request&, SeqNo) override {}  // layer logs instead

@@ -226,7 +226,7 @@ void CommunicationLayer::deliver(const pbft::Request& request, SeqNo seq) {
 
     stats_.logged += 1;
     remember_logged(digest);
-    sink_.log(request, request.origin, seq);  // Alg. 1 ln. 20
+    sink_.log(request, digest, request.origin, seq);  // Alg. 1 ln. 20
 }
 
 crypto::Digest CommunicationLayer::state_digest(SeqNo seq) {

@@ -63,11 +63,13 @@ public:
 };
 
 /// Downstream sink for totally ordered, deduplicated log entries
-/// (Tab. I interface 2: LOG(req, id, sn)).
+/// (Tab. I interface 2: LOG(req, id, sn)). `payload_digest` is
+/// `request.payload_digest()`, already computed by the layer's dedup.
 class LogSink {
 public:
     virtual ~LogSink() = default;
-    virtual void log(const pbft::Request& request, NodeId origin, SeqNo seq) = 0;
+    virtual void log(const pbft::Request& request, const crypto::Digest& payload_digest,
+                     NodeId origin, SeqNo seq) = 0;
 };
 
 struct LayerConfig {

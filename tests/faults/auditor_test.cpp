@@ -1,7 +1,12 @@
 // Unit tests of the safety auditor against hand-built ground truth:
 // forks, broken links, bad origin signatures, lost inputs, and export
-// proof-coverage checks.
+// proof-coverage checks, plus the equivalence of incremental passes with
+// a fresh auditor's full pass.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <set>
+#include <tuple>
 
 #include "crypto/sha256.hpp"
 #include "faults/auditor.hpp"
@@ -15,7 +20,7 @@ struct NullTransport final : zugchain::LayerTransport {
 };
 
 struct NullSink final : zugchain::LogSink {
-    void log(const pbft::Request&, NodeId, SeqNo) override {}
+    void log(const pbft::Request&, const crypto::Digest&, NodeId, SeqNo) override {}
 };
 
 struct AuditorFixture : ::testing::Test {
@@ -27,17 +32,19 @@ struct AuditorFixture : ::testing::Test {
         }
         verifier_ctx = std::make_unique<crypto::CryptoContext>(provider, directory, keys[0],
                                                                costs, meter);
-        auditor.configure(1, 10, [this](std::uint32_t signer, BytesView msg,
-                                        const crypto::Signature& sig) {
-            return verifier_ctx->verify(signer, msg, sig);
-        });
+        configure(auditor);
     }
 
     /// Appends one block whose single request is validly signed by its
     /// origin (or garbage-signed with valid_sig = false).
     void append_block(chain::BlockStore& store, const std::string& text, NodeId origin,
                       bool valid_sig = true) {
-        const Height h = store.head_height() + 1;
+        store.append(make_block(store.head_height() + 1, store.head_hash(), text, origin,
+                                valid_sig));
+    }
+
+    chain::Block make_block(Height h, const crypto::Digest& parent, const std::string& text,
+                            NodeId origin, bool valid_sig = true) {
         pbft::Request probe;
         probe.payload = to_bytes(text);
         probe.origin = origin;
@@ -53,8 +60,14 @@ struct AuditorFixture : ::testing::Test {
             lr.sig = ctx.sign(probe.signing_bytes());
         }
         std::vector<chain::LoggedRequest> reqs{lr};
-        store.append(chain::Block::build(h, store.head_hash(), static_cast<std::int64_t>(h),
-                                         std::move(reqs)));
+        return chain::Block::build(h, parent, static_cast<std::int64_t>(h), std::move(reqs));
+    }
+
+    void configure(SafetyAuditor& a) {
+        a.configure(1, 10, [this](std::uint32_t signer, BytesView msg,
+                                  const crypto::Signature& sig) {
+            return verifier_ctx->verify(signer, msg, sig);
+        });
     }
 
     pbft::CheckpointProof proof_for(const chain::BlockStore& store, Height height,
@@ -160,10 +173,7 @@ TEST_F(AuditorFixture, LostInputFlaggedAndCrashForgives) {
     // After a crash the volatile inputs are legitimately lost: the same
     // digest must not re-fire on a fresh auditor.
     SafetyAuditor second;
-    second.configure(1, 10, [this](std::uint32_t signer, BytesView msg,
-                                   const crypto::Signature& sig) {
-        return verifier_ctx->verify(signer, msg, sig);
-    });
+    configure(second);
     second.note_received(0, crypto::sha256(lost));
     second.note_crashed(0);
     second.audit({view_of(0, a, &layer)}, {});
@@ -181,8 +191,206 @@ TEST_F(AuditorFixture, LoggedInputIsNotLost) {
     const crypto::Digest d = crypto::sha256(to_bytes("payload"));
     auditor.note_received(0, d);
     auditor.note_logged(0, d);
+    // Logged first, then received: a late bus duplicate of a logged payload.
+    const crypto::Digest late = crypto::sha256(to_bytes("late-duplicate"));
+    auditor.note_logged(0, late);
+    auditor.note_received(0, late);
+    // Logged inputs leave the candidate set, so a pass examines none of
+    // them: one store check and one origin signature, nothing per input.
+    for (int i = 0; i < 100; ++i) {
+        const crypto::Digest di = crypto::sha256(to_bytes("bulk" + std::to_string(i)));
+        auditor.note_received(0, di);
+        auditor.note_logged(0, di);
+    }
     auditor.audit({view_of(0, a, &layer)}, {});
     EXPECT_TRUE(auditor.report().clean());
+    EXPECT_EQ(auditor.report().checks, 2u);
+}
+
+TEST_F(AuditorFixture, RebaseOntoCorruptBlockAfterCleanPassFlagged) {
+    chain::BlockStore a;
+    for (int i = 0; i < 3; ++i) append_block(a, "blk" + std::to_string(i), 1);
+    auditor.audit({view_of(0, a)}, {});
+    ASSERT_TRUE(auditor.report().clean());
+
+    // rebase() does not validate payloads: a base block whose body does not
+    // match its payload root enters the store, above the clean cursor.
+    chain::Block bad = make_block(5, crypto::sha256(to_bytes("peer-parent")), "orig", 1);
+    bad.requests[0].payload = to_bytes("tampered");
+    a.rebase(std::move(bad), {});
+    auditor.audit({view_of(0, a)}, {});
+    ASSERT_EQ(auditor.report().violations.size(), 1u);
+    EXPECT_EQ(auditor.report().violations[0].kind, ViolationKind::kBrokenHashLink);
+    EXPECT_EQ(auditor.report().violations[0].height, 5u);
+
+    // A failed validation leaves no cursor: a clean block on top does not
+    // hide the corrupt base from the next pass.
+    append_block(a, "on-top", 1);
+    auditor.audit({view_of(0, a)}, {});
+    ASSERT_EQ(auditor.report().violations.size(), 2u);
+    EXPECT_EQ(auditor.report().violations[1].kind, ViolationKind::kBrokenHashLink);
+    EXPECT_EQ(auditor.report().violations[1].height, 6u);
+}
+
+TEST_F(AuditorFixture, StoreCursorDoesNotOutliveItsStore) {
+    // A crashed replica reloads its store: the reloaded chain may carry the
+    // same headers over a body that no longer matches its payload root.
+    chain::BlockStore a;
+    for (int i = 0; i < 3; ++i) append_block(a, "blk" + std::to_string(i), 1);
+    auditor.audit({view_of(0, a)}, {});
+    ASSERT_TRUE(auditor.report().clean());
+    auditor.note_crashed(0);
+    chain::Block corrupt = *a.get(1);
+    corrupt.requests[0].payload = to_bytes("bit-rot");
+    chain::BlockStore reloaded;
+    reloaded.rebase(std::move(corrupt), {});
+    reloaded.append(*a.get(2));
+    reloaded.append(*a.get(3));
+    ASSERT_EQ(reloaded.head_hash(), a.head_hash());
+    auditor.audit({view_of(0, reloaded)}, {});
+    ASSERT_EQ(auditor.report().violations.size(), 1u);
+    EXPECT_EQ(auditor.report().violations[0].kind, ViolationKind::kBrokenHashLink);
+    EXPECT_EQ(auditor.report().violations[0].where, 0u);
+
+    // A store whose header at the cursor height differs is not the store
+    // the cursor was taken on, even when nothing lies above the cursor.
+    DataCenterView dc;
+    dc.id = 0;
+    dc.store = &a;
+    auditor.audit({}, {dc});
+    chain::BlockStore other;
+    chain::Block bad = make_block(2, crypto::sha256(to_bytes("elsewhere")), "other", 1);
+    bad.requests[0].payload = to_bytes("tampered");
+    other.rebase(std::move(bad), {});
+    append_block(other, "other-3", 1);
+    ASSERT_EQ(other.head_height(), a.head_height());
+    dc.store = &other;
+    auditor.audit({}, {dc});
+    ASSERT_EQ(auditor.report().violations.size(), 2u);
+    EXPECT_EQ(auditor.report().violations[1].kind, ViolationKind::kBrokenHashLink);
+    EXPECT_EQ(auditor.report().violations[1].where, 100u);
+}
+
+TEST_F(AuditorFixture, IncrementalPassesMatchAFreshAuditorsFullPass) {
+    // A seeded script of store mutations, crashes and input taps. After
+    // every step the incremental auditor's new violations must be exactly
+    // what a fresh auditor (same tap history, one full pass) finds and the
+    // incremental one had not reported yet.
+    zugchain::LayerConfig lcfg;
+    NullTransport transport;
+    NullSink sink;
+    zugchain::CommunicationLayer layer(lcfg, sim, *verifier_ctx, transport, sink);
+
+    Rng rng(2024);
+    chain::BlockStore stores[2];
+    // Taps reach the incremental auditor as they happen and are replayed
+    // into each fresh one.
+    std::vector<std::function<void(SafetyAuditor&)>> history;
+    const auto tap = [&](std::function<void(SafetyAuditor&)> t) {
+        t(auditor);
+        history.push_back(std::move(t));
+    };
+    pbft::CheckpointProof proof;
+    bool have_proof = false;
+    int rebases = 0;
+    int crashes = 0;
+
+    using Key = std::tuple<int, NodeId, Height>;
+    const auto key = [](const Violation& v) {
+        return Key{static_cast<int>(v.kind), v.where, v.height};
+    };
+    const auto pick = [&rng](Height lo, Height hi) {
+        return lo + static_cast<Height>(rng.next_below(hi - lo + 1));
+    };
+
+    for (int step = 0; step < 400; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        const NodeId node = static_cast<NodeId>(rng.next_below(2));
+        chain::BlockStore& st = stores[node];
+        const std::string text = "s" + std::to_string(step);
+        switch (rng.next_below(10)) {
+            case 0:
+            case 1:
+            case 2:
+                append_block(st, text, static_cast<NodeId>(1 + rng.next_below(3)),
+                             /*valid_sig=*/rng.chance(0.9));
+                break;
+            case 3:
+                st.prune_to(pick(st.base_height(), st.head_height()), {});
+                break;
+            case 4:
+                st.trim_bodies_to(pick(st.base_height(), st.head_height()));
+                break;
+            case 5: {
+                chain::Block base = make_block(st.head_height() + 1 + rng.next_below(3),
+                                               crypto::sha256(to_bytes(text)), text, 1);
+                if (rng.chance(0.5)) base.requests[0].payload = to_bytes("tampered");
+                st.rebase(std::move(base), {});
+                rebases += 1;
+                break;
+            }
+            case 6:
+                tap([node](SafetyAuditor& a) { a.note_crashed(node); });
+                if (rng.chance(0.3)) st = chain::BlockStore();  // restart from genesis
+                crashes += 1;
+                break;
+            case 7:
+            case 8: {
+                const crypto::Digest d =
+                    crypto::sha256(to_bytes("in" + std::to_string(rng.next_below(12))));
+                if (rng.chance(0.5)) {
+                    tap([node, d](SafetyAuditor& a) { a.note_received(node, d); });
+                } else {
+                    tap([node, d](SafetyAuditor& a) { a.note_logged(node, d); });
+                }
+                break;
+            }
+            default:
+                proof = proof_for(stores[1], pick(stores[1].base_height(), stores[1].head_height()),
+                                  rng.chance(0.7) ? 3 : 1);
+                have_proof = true;
+                break;
+        }
+
+        std::vector<ReplicaView> replicas{view_of(0, stores[0], &layer),
+                                          view_of(1, stores[1], &layer)};
+        DataCenterView dc;
+        dc.id = 0;
+        dc.store = &stores[1];
+        dc.proof = have_proof ? &proof : nullptr;
+        const std::size_t before = auditor.report().violations.size();
+        auditor.audit(replicas, {dc});
+
+        SafetyAuditor fresh;
+        configure(fresh);
+        for (const auto& t : history) t(fresh);
+        fresh.audit(replicas, {dc});
+
+        std::set<Key> fresh_keys;
+        for (const Violation& v : fresh.report().violations) fresh_keys.insert(key(v));
+        std::set<Key> reported;
+        for (const Violation& v : auditor.report().violations) reported.insert(key(v));
+        for (std::size_t i = before; i < auditor.report().violations.size(); ++i) {
+            EXPECT_TRUE(fresh_keys.contains(key(auditor.report().violations[i])))
+                << violation_name(auditor.report().violations[i].kind);
+        }
+        for (const Key& k : fresh_keys) {
+            EXPECT_TRUE(reported.contains(k))
+                << violation_name(static_cast<ViolationKind>(std::get<0>(k))) << " at "
+                << std::get<1>(k) << " height " << std::get<2>(k);
+        }
+    }
+
+    // The script must have reached every path it is meant to cover.
+    EXPECT_GT(rebases, 0);
+    EXPECT_GT(crashes, 0);
+    std::set<ViolationKind> kinds;
+    for (const Violation& v : auditor.report().violations) kinds.insert(v.kind);
+    for (ViolationKind k : {ViolationKind::kBrokenHashLink, ViolationKind::kBadOriginSignature,
+                            ViolationKind::kLostInput, ViolationKind::kExportedBeyondProof,
+                            ViolationKind::kExportProofInvalid}) {
+        EXPECT_TRUE(kinds.contains(k)) << violation_name(k);
+    }
 }
 
 TEST_F(AuditorFixture, DcBeyondProofCoverageFlagged) {

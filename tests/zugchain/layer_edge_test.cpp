@@ -36,7 +36,9 @@ struct MockTransport final : LayerTransport {
 };
 
 struct MockSink final : LogSink {
-    void log(const pbft::Request& r, NodeId origin, SeqNo seq) override {
+    void log(const pbft::Request& r, const crypto::Digest& payload_digest, NodeId origin,
+             SeqNo seq) override {
+        EXPECT_EQ(payload_digest, r.payload_digest());
         logged.push_back({r, origin, seq});
     }
     struct Entry {
