@@ -1,5 +1,6 @@
 #include "chain/block_store.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -63,7 +64,45 @@ std::optional<Height> height_from_name(const std::string& name) {
     return static_cast<Height>(std::strtoull(digits.c_str(), nullptr, 10));
 }
 
+/// The body of `extends`; `on_linked` sees each block once it has passed
+/// its own checks, before the final digest comparison.
+template <typename OnLinked>
+bool check_extension(Height from_height, crypto::Digest prev, std::vector<Block>& blocks,
+                     Height target, const crypto::Digest& state, const ChargeFn& charge,
+                     OnLinked&& on_linked) {
+    std::sort(blocks.begin(), blocks.end(), [](const Block& a, const Block& b) {
+        return a.header.height < b.header.height;
+    });
+    std::vector<Block> kept;
+    kept.reserve(blocks.size());
+    for (Block& b : blocks) {
+        if (b.header.height <= from_height || b.header.height > target) continue;
+        if (!kept.empty() && kept.back().header.height == b.header.height) continue;
+        kept.push_back(std::move(b));
+    }
+    blocks = std::move(kept);
+    if (target < from_height || blocks.size() != target - from_height) return false;
+
+    Height expect = from_height + 1;
+    for (Block& b : blocks) {
+        charge(b.size_bytes());
+        if (b.header.height != expect || b.header.parent_hash != prev || !b.payload_valid()) {
+            return false;
+        }
+        prev = b.hash();
+        expect += 1;
+        on_linked(b);
+    }
+    return prev == state;
+}
+
 }  // namespace
+
+bool extends(Height from_height, const crypto::Digest& from_hash, std::vector<Block>& blocks,
+             Height target, const crypto::Digest& state, const ChargeFn& charge) {
+    return check_extension(from_height, from_hash, blocks, target, state, charge,
+                           [](const Block&) {});
+}
 
 void PruneAnchor::encode(codec::Writer& w) const {
     w.u64(base_height);
@@ -293,6 +332,26 @@ void BlockStore::append(Block block) {
     const Height h = block.header.height;
     trace_.event(trace::Phase::kBlockPersist, h, block.size_bytes());
     entries_.emplace(h, Entry{std::move(block), true});
+}
+
+bool BlockStore::adopt(std::vector<Block>& blocks, Height target, const crypto::Digest& state,
+                       const ChargeFn& charge, const AdoptedFn& on_adopted) {
+    const auto append_one = [&](Block& b) {
+        if (on_adopted) on_adopted(b);
+        append(std::move(b));
+    };
+#ifdef ZC_BREAK_VALIDATION
+    // Pre-hardening behaviour, kept so CI can prove the safety auditor
+    // catches the resulting poisoning: every block that links enters the
+    // store before the checkpoint-digest check runs.
+    const bool ok =
+        check_extension(head_height_, head_hash_, blocks, target, state, charge, append_one);
+#else
+    const bool ok = extends(head_height_, head_hash_, blocks, target, state, charge);
+    if (ok) std::for_each(blocks.begin(), blocks.end(), append_one);
+#endif
+    if (ok) blocks.clear();
+    return ok;
 }
 
 const Block* BlockStore::get(Height height) const {

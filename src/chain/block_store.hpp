@@ -11,10 +11,14 @@
 //     remains verifiable),
 //   * optional file-backed persistence (paper: the blockchain is persisted
 //     on disk to survive power loss),
-//   * full-range validation of hash links and payload roots.
+//   * full-range validation of hash links and payload roots,
+//   * stage-then-adopt of fetched ranges (state transfer, data-center
+//     export and sync): nothing is appended until the whole range extends
+//     the head and ends at the quorum-certified checkpoint digest.
 #pragma once
 
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <optional>
 
@@ -49,6 +53,20 @@ struct RecoveryReport {
     bool clean() const noexcept { return blocks_discarded == 0 && !unrepairable; }
 };
 
+/// Charges the CPU model for re-hashing one staged block of `bytes`.
+using ChargeFn = std::function<void(std::size_t bytes)>;
+
+/// Stage-then-adopt check (paper §III-D): does `blocks` extend the chain
+/// whose head is (`from_height`, `from_hash`) up to `target`, ending at
+/// `state`, the quorum-certified checkpoint digest? Sorts `blocks` by
+/// height and drops duplicates and heights outside (from_height, target];
+/// fails without charging unless exactly `target - from_height` blocks
+/// remain; then charges each block and checks its height, parent link
+/// and payload root, stopping at the first failure; finally compares the
+/// last hash with `state`. Leaves the filtered range in `blocks`.
+bool extends(Height from_height, const crypto::Digest& from_hash, std::vector<Block>& blocks,
+             Height target, const crypto::Digest& state, const ChargeFn& charge);
+
 class BlockStore {
 public:
     /// In-memory store, seeded with the genesis block. If `dir` is given,
@@ -76,6 +94,18 @@ public:
     /// Appends a block; throws std::invalid_argument if the height or
     /// parent hash does not extend the current head.
     void append(Block block);
+
+    /// Called once per adopted block, just before it is appended.
+    using AdoptedFn = std::function<void(const Block&)>;
+
+    /// Appends `blocks` only if they `extends` this store's head up to
+    /// `target` with head hash `state`; returns whether it did. On
+    /// failure the store is untouched and `blocks` holds the filtered
+    /// range (so callers can count what they rejected); on success it is
+    /// left empty. Building with ZC_BREAK_VALIDATION appends each linked
+    /// block before the digest check (negative testing only).
+    bool adopt(std::vector<Block>& blocks, Height target, const crypto::Digest& state,
+               const ChargeFn& charge, const AdoptedFn& on_adopted = {});
 
     /// Block at height, or nullptr if unknown/pruned/body-trimmed.
     const Block* get(Height height) const;

@@ -23,4 +23,9 @@ using Height = std::uint64_t;
 /// Sentinel for "no node".
 inline constexpr NodeId kNoNode = 0xffffffffu;
 
+/// Data center d is endpoint kDcEndpointBase + d on a consist network
+/// (replicas are 0..n-1). Trace pids and audit reports use the same
+/// numbering.
+inline constexpr std::uint32_t kDcEndpointBase = 100;
+
 }  // namespace zc

@@ -192,13 +192,11 @@ public:
     /// skip never changes a result. Charging (and therefore every virtual
     /// output) is identical with this on or off.
     static void set_host_recheck(bool on) noexcept { s_host_recheck = on; }
-    static bool host_recheck() noexcept { return s_host_recheck; }
 
     /// Charges hashing work without performing crypto (block building etc.).
     void charge_hash(std::size_t bytes) { meter_.add(costs_.hash(bytes)); }
     void charge(Duration d) { meter_.add(d); }
 
-    const PublicKey& public_key() const noexcept { return key_.pub; }
     const metrics::CostModel& costs() const noexcept { return costs_; }
     WorkMeter& meter() noexcept { return meter_; }
 

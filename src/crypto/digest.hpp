@@ -15,8 +15,6 @@ using Digest = std::array<std::uint8_t, 32>;
 
 inline BytesView view(const Digest& d) { return BytesView{d.data(), d.size()}; }
 
-inline Bytes to_vector(const Digest& d) { return Bytes(d.begin(), d.end()); }
-
 /// Hash functor for unordered containers keyed by Digest.
 struct DigestHash {
     std::size_t operator()(const Digest& d) const noexcept {

@@ -152,115 +152,38 @@ void DataCenter::maybe_complete_read() {
     verify_and_continue();
 }
 
-bool DataCenter::append_blocks(std::vector<chain::Block> blocks) {
-    std::sort(blocks.begin(), blocks.end(), [](const chain::Block& a, const chain::Block& b) {
+Height DataCenter::covered_height(std::vector<chain::Block>& staged) const {
+    std::sort(staged.begin(), staged.end(), [](const chain::Block& a, const chain::Block& b) {
         return a.header.height < b.header.height;
     });
-    for (chain::Block& b : blocks) {
-        if (b.header.height <= store_.head_height()) continue;  // already have it
-        crypto_.charge_hash(b.size_bytes());  // integrity re-hash
-        try {
-            store_.append(std::move(b));
-        } catch (const std::invalid_argument&) {
-            return false;  // gap or corrupt block
-        }
+    Height top = store_.head_height();
+    for (const chain::Block& b : staged) {
+        if (b.header.height == top + 1) top += 1;
     }
-    return true;
+    return top;
 }
 
-bool DataCenter::staged_range_valid(std::vector<chain::Block>& blocks, Height target,
-                                    const crypto::Digest& state) {
-    std::sort(blocks.begin(), blocks.end(), [](const chain::Block& a, const chain::Block& b) {
-        return a.header.height < b.header.height;
-    });
-    std::vector<chain::Block> kept;
-    kept.reserve(blocks.size());
-    for (chain::Block& b : blocks) {
-        if (b.header.height <= store_.head_height() || b.header.height > target) continue;
-        if (!kept.empty() && kept.back().header.height == b.header.height) continue;
-        kept.push_back(std::move(b));
-    }
-    blocks = std::move(kept);
-    Height expect = store_.head_height() + 1;
-    crypto::Digest prev = store_.head_hash();
-    for (const chain::Block& b : blocks) {
-        crypto_.charge_hash(b.size_bytes());
-        if (b.header.height != expect || b.header.parent_hash != prev || !b.payload_valid()) {
-            return false;
-        }
-        prev = b.hash();
-        expect += 1;
-    }
-    return expect == target + 1 && prev == state;
-}
-
-void DataCenter::adopt_blocks(std::vector<chain::Block> blocks) {
-    for (chain::Block& b : blocks) store_.append(std::move(b));
+bool DataCenter::adopt(std::vector<chain::Block>& staged, Height target,
+                       const crypto::Digest& state) {
+    // Stage-then-adopt: the whole range must hash-link from our head to
+    // the quorum-certified checkpoint digest BEFORE anything is appended
+    // to the permanent store. A forged-but-hash-linked range from a
+    // compromised replica or peer dies here.
+    const bool ok = store_.adopt(staged, target, state,
+                                 [this](std::size_t bytes) { crypto_.charge_hash(bytes); });
+    if (!ok) stats_.blocks_rejected += staged.size();
+    return ok;
 }
 
 void DataCenter::verify_and_continue() {
     // (4) Validate the chain up to the block covered by the checkpoint.
     const Duration meter_before = crypto_.meter().pending();
 
-#ifdef ZC_BREAK_VALIDATION
-    // Pre-hardening behaviour (CI negative test): blocks enter the
-    // permanent store before the checkpoint-digest check.
-    if (!append_blocks(std::move(staged_blocks_))) {
-        staged_blocks_.clear();
-        retry_round();
-        return;
-    }
-    staged_blocks_.clear();
-
     if (store_.head_height() < target_height_) {
-        state_ = State::kFetching;
-        BlockFetch fetch;
-        fetch.dc = config_.id;
-        fetch.from = store_.head_height() + 1;
-        fetch.to = target_height_;
-        fetch.sig = crypto_.sign(fetch.signing_bytes());
-        std::vector<NodeId> candidates;
-        for (NodeId i = 0; i < config_.n; ++i) {
-            if (i != full_from_) candidates.push_back(i);
-        }
-        transport_.to_replica(candidates[rng_.next_below(candidates.size())],
-                              ExportMessage{fetch});
-        arm_timeout();
-        return;
-    }
-    const chain::BlockHeader* head = store_.header(target_height_);
-    if (head == nullptr || head->hash() != best_proof_->state) {
-        ZC_WARN("export-dc", "dc {} chain/checkpoint mismatch at height {}", config_.id,
-                target_height_);
-        stats_.exports_failed += 1;
-        finish(false);
-        return;
-    }
-#else
-    if (store_.head_height() >= target_height_) {
-        // Already covered by an earlier export/sync; nothing to adopt,
-        // but the certified digest must still match what we hold.
-        staged_blocks_.clear();
-        const chain::BlockHeader* covered = store_.header(target_height_);
-        if (covered == nullptr || covered->hash() != best_proof_->state) {
-            ZC_WARN("export-dc", "dc {} chain/checkpoint mismatch at height {}", config_.id,
-                    target_height_);
-            stats_.exports_failed += 1;
-            finish(false);
-            return;
-        }
-    } else {
         // Coverage check first: a gap between our head (plus what is
         // staged) and the checkpointed block needs a second fetch round
         // (§III-D step 4). Staged blocks stay staged across rounds.
-        std::sort(staged_blocks_.begin(), staged_blocks_.end(),
-                  [](const chain::Block& a, const chain::Block& b) {
-                      return a.header.height < b.header.height;
-                  });
-        Height top = store_.head_height();
-        for (const chain::Block& b : staged_blocks_) {
-            if (b.header.height == top + 1) top += 1;
-        }
+        const Height top = covered_height(staged_blocks_);
         if (top < target_height_) {
             state_ = State::kFetching;
             BlockFetch fetch;
@@ -277,24 +200,25 @@ void DataCenter::verify_and_continue() {
             arm_timeout();
             return;
         }
-
-        // Stage-then-adopt: the whole range must hash-link from our head
-        // to the quorum-certified checkpoint digest BEFORE anything is
-        // appended to the permanent store. A forged-but-hash-linked range
-        // from a compromised replica dies here and we retry elsewhere.
-        if (!staged_range_valid(staged_blocks_, target_height_, best_proof_->state)) {
+        if (!adopt(staged_blocks_, target_height_, best_proof_->state)) {
             ZC_WARN("export-dc", "dc {} rejected {} staged blocks (checkpoint mismatch)",
                     config_.id, staged_blocks_.size());
-            stats_.blocks_rejected += staged_blocks_.size();
             staged_blocks_.clear();
             retry_round();
             return;
         }
-        adopt_blocks(std::move(staged_blocks_));
-        staged_blocks_.clear();
     }
+    // Already covered by an earlier export/sync, or just adopted: the
+    // certified digest must match what we hold.
+    staged_blocks_.clear();
     const chain::BlockHeader* head = store_.header(target_height_);
-#endif
+    if (head == nullptr || head->hash() != best_proof_->state) {
+        ZC_WARN("export-dc", "dc {} chain/checkpoint mismatch at height {}", config_.id,
+                target_height_);
+        stats_.exports_failed += 1;
+        finish(false);
+        return;
+    }
 
     const Duration verify_cost = crypto_.meter().pending() - meter_before;
     current_.verify_cost += verify_cost;
@@ -356,34 +280,9 @@ void DataCenter::handle(const DcSync& m) {
     stats_.syncs_received += 1;
 
     const Height target = m.proof.seq / config_.checkpoint_interval;
-#ifdef ZC_BREAK_VALIDATION
-    // Pre-hardening behaviour (CI negative test): peer blocks enter the
-    // permanent store before the proof-digest check.
-    const bool appended = append_blocks(m.blocks);
-    if (!appended || store_.head_height() < target) {
-        // We missed earlier exports (error (iv)): the replicas may have
-        // pruned those blocks, so recover the gap from the peer that has
-        // the full history.
-        DcFetch fetch;
-        fetch.from_dc = config_.id;
-        fetch.from = store_.head_height() + 1;
-        fetch.to = target;
-        fetch.sig = crypto_.sign(fetch.signing_bytes());
-        transport_.to_data_center(m.from, ExportMessage{fetch});
-        return;
-    }
-#else
     if (store_.head_height() < target) {
         std::vector<chain::Block> staged = m.blocks;
-        std::sort(staged.begin(), staged.end(),
-                  [](const chain::Block& a, const chain::Block& b) {
-                      return a.header.height < b.header.height;
-                  });
-        Height top = store_.head_height();
-        for (const chain::Block& b : staged) {
-            if (b.header.height == top + 1) top += 1;
-        }
-        if (top < target) {
+        if (covered_height(staged) < target) {
             // We missed earlier exports (error (iv)): the replicas may
             // have pruned those blocks, so recover the gap from the peer
             // that has the full history.
@@ -395,18 +294,13 @@ void DataCenter::handle(const DcSync& m) {
             transport_.to_data_center(m.from, ExportMessage{fetch});
             return;
         }
-        // Stage-then-adopt: the peer's range must hash-link from our head
-        // to the proof digest before anything touches the permanent store.
-        if (!staged_range_valid(staged, target, m.proof.state)) {
+        if (!adopt(staged, target, m.proof.state)) {
             ZC_WARN("export-dc", "dc {} rejected {} sync blocks from dc {}", config_.id,
                     staged.size(), m.from);
-            stats_.blocks_rejected += staged.size();
             stats_.invalid_messages += 1;
             return;
         }
-        adopt_blocks(std::move(staged));
     }
-#endif
     const chain::BlockHeader* head = store_.header(target);
     if (head == nullptr || head->hash() != m.proof.state) return;
     last_proof_ = m.proof;

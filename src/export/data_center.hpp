@@ -126,17 +126,15 @@ private:
     void retry_round();
     void maybe_complete_read();
     void verify_and_continue();
-    bool append_blocks(std::vector<chain::Block> blocks);
 
-    /// Sorts + dedups `blocks` (dropping heights <= head) and checks that
-    /// the remainder is a contiguous, hash-linked, payload-valid extension
-    /// of the store reaching exactly `target` with head hash `state`.
-    /// Validation only — the store is not modified.
-    bool staged_range_valid(std::vector<chain::Block>& blocks, Height target,
-                            const crypto::Digest& state);
+    /// Sorts `staged` by height; returns the highest height our head plus
+    /// the staged blocks reach without a gap.
+    Height covered_height(std::vector<chain::Block>& staged) const;
 
-    /// Adopts a range previously accepted by staged_range_valid.
-    void adopt_blocks(std::vector<chain::Block> blocks);
+    /// store_.adopt up to the checkpoint (`target`, `state`), charging the
+    /// re-hash to our CPU; a rejected range counts into blocks_rejected.
+    bool adopt(std::vector<chain::Block>& staged, Height target, const crypto::Digest& state);
+
     void issue_delete(Height height, const crypto::Digest& block_hash);
     void finish(bool success);
     void arm_timeout();

@@ -149,7 +149,7 @@ void SafetyAuditor::check_lost_inputs(const ReplicaView& r) {
 }
 
 void SafetyAuditor::check_data_center(const DataCenterView& dc, const ReplicaView* ref) {
-    const NodeId where = 100 + dc.id;  // report namespace for data centers
+    const NodeId where = kDcEndpointBase + dc.id;  // report namespace for data centers
     check_store(where, *dc.store);
     if (dc.proof != nullptr) {
         const Height covered = dc.proof->seq / interval_;

@@ -69,7 +69,7 @@ const char* violation_name(ViolationKind kind) noexcept;
 
 struct Violation {
     ViolationKind kind;
-    NodeId where = kNoNode;  ///< replica id, or 100 + dc id for data centers
+    NodeId where = kNoNode;  ///< replica id, or kDcEndpointBase + dc id for data centers
     Height height = 0;       ///< offending height (0 when not applicable)
     std::string detail;
 };
@@ -160,8 +160,8 @@ private:
         Height height = 0;
         crypto::Digest hash{};
     };
-    std::map<NodeId, StoreCursor> validated_;  ///< by replica id, 100 + dc for DCs
-    std::map<NodeId, pbft::CheckpointProof> verified_proof_;  ///< by 100 + dc
+    std::map<NodeId, StoreCursor> validated_;  ///< by replica id, kDcEndpointBase + dc for DCs
+    std::map<NodeId, pbft::CheckpointProof> verified_proof_;  ///< by kDcEndpointBase + dc
 };
 
 }  // namespace zc::faults

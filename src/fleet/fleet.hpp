@@ -116,7 +116,7 @@ struct FleetConfig {
 inline constexpr NodeId trace_pid(TrainId train, NodeId node) noexcept {
     return 1000u * train + node;
 }
-inline constexpr NodeId dc_trace_pid(DataCenterId dc) noexcept { return 100u + dc; }
+inline constexpr NodeId dc_trace_pid(DataCenterId dc) noexcept { return kDcEndpointBase + dc; }
 
 struct TrainReport {
     TrainId train = 0;

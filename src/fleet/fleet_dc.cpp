@@ -8,10 +8,6 @@
 
 namespace zc::fleet {
 
-namespace {
-constexpr net::EndpointId kDcBase = runtime::kDcEndpointBase;
-}
-
 void FleetIndex::observe(TrainId train, DataCenterId dc, const chain::BlockStore& store) {
     Height& cursor = cursors_[{dc, train}];
     const Height head = store.head_height();
@@ -63,7 +59,7 @@ struct FleetDataCenter::ShardRig final : net::Endpoint, exporter::DcTransport {
           crypto(host.provider_, shard.directory(), shard.dc_key(host.id()),
                  host.dc_costs_, meter) {
         core = std::make_unique<exporter::DataCenter>(host.config_.core, host.sim_, crypto, *this);
-        if (host.trace_ != nullptr) core->set_trace(host.trace_, kDcBase + host.id());
+        if (host.trace_ != nullptr) core->set_trace(host.trace_, kDcEndpointBase + host.id());
     }
 
     // Inbound (from this shard's replicas or a peer DC's port on the same
@@ -78,7 +74,7 @@ struct FleetDataCenter::ShardRig final : net::Endpoint, exporter::DcTransport {
         host.executor_.submit([this, enqueued, msg = std::move(message)] {
             ZC_PROF_SCOPE(kDcIngest);
             if (host.trace_ != nullptr) {
-                host.trace_->span(kDcBase + host.id(), enqueued,
+                host.trace_->span(kDcEndpointBase + host.id(), enqueued,
                                   host.sim_.now() - enqueued, trace::Phase::kDcIngestQueue,
                                   train, msg.size());
             }
@@ -90,7 +86,7 @@ struct FleetDataCenter::ShardRig final : net::Endpoint, exporter::DcTransport {
                     if (std::holds_alternative<exporter::DcSync>(*m)) {
                         ZC_PROF_SCOPE(kDcSync);
                         if (host.trace_ != nullptr) {
-                            host.trace_->event(kDcBase + host.id(), host.sim_.now(),
+                            host.trace_->event(kDcEndpointBase + host.id(), host.sim_.now(),
                                                trace::Phase::kDcSync, train,
                                                envelope->body.size());
                         }
@@ -105,7 +101,7 @@ struct FleetDataCenter::ShardRig final : net::Endpoint, exporter::DcTransport {
     }
 
     void to_replica(NodeId replica, const exporter::ExportMessage& m) override {
-        net.send(kDcBase + host.id(), replica,
+        net.send(kDcEndpointBase + host.id(), replica,
                  runtime::encode_envelope(runtime::Channel::kExport,
                                           exporter::encode_export_message(m)));
     }
@@ -113,7 +109,7 @@ struct FleetDataCenter::ShardRig final : net::Endpoint, exporter::DcTransport {
     // network, so per-train sync traffic stays within the shard's
     // addressing plan (peer ports route it to their core for `train`).
     void to_data_center(DataCenterId dc, const exporter::ExportMessage& m) override {
-        net.send(kDcBase + host.id(), kDcBase + dc,
+        net.send(kDcEndpointBase + host.id(), kDcEndpointBase + dc,
                  runtime::encode_envelope(runtime::Channel::kExport,
                                           exporter::encode_export_message(m)));
     }
@@ -139,7 +135,7 @@ void FleetDataCenter::add_shard(TrainId train, runtime::TrainShard& shard) {
         throw std::invalid_argument("fleet dc shards must be added in train order");
     }
     rigs_.push_back(std::make_unique<ShardRig>(*this, train, shard));
-    shard.network().attach(kDcBase + id(), rigs_.back().get());
+    shard.network().attach(kDcEndpointBase + id(), rigs_.back().get());
     // Archive growth is indexed as exports complete (plus the periodic
     // observe_all sweep for sync-adopted blocks).
     exporter::DataCenter* core = rigs_.back()->core.get();
@@ -160,7 +156,7 @@ bool FleetDataCenter::exporting(TrainId train) const {
 void FleetDataCenter::set_down(bool down) {
     down_ = down;
     for (const auto& rig : rigs_) {
-        rig->net.set_endpoint_down(kDcBase + id(), down);
+        rig->net.set_endpoint_down(kDcEndpointBase + id(), down);
     }
     if (down) executor_.clear_queue();  // the frontend loses its backlog too
 }

@@ -1,8 +1,8 @@
 // Shared data center for a fleet of train shards.
 //
 // One FleetDataCenter is a single juridical archive serving every train:
-// it attaches a port at the canonical DC endpoint (100 + id) on *each*
-// shard's network, runs one exporter::DataCenter protocol core per train
+// it attaches a port at the canonical DC endpoint (kDcEndpointBase + id)
+// on *each* shard's network, runs one exporter::DataCenter protocol core per train
 // (export rounds are per-chain; the port signs with the DC key that train
 // registered and verifies against that train's key directory), and
 // funnels every inbound message through one shared bounded
@@ -92,7 +92,7 @@ public:
     FleetDataCenter(const FleetDataCenter&) = delete;
     FleetDataCenter& operator=(const FleetDataCenter&) = delete;
 
-    /// Registers one shard: attaches this DC's port at endpoint 100 + id
+    /// Registers one shard: attaches this DC's port at endpoint kDcEndpointBase + id
     /// on the shard's network and spins up the per-train protocol core,
     /// signing with the shard's key for this DC and verifying against the
     /// shard's key directory. Call once per train, in train order, for
@@ -115,7 +115,6 @@ public:
     exporter::DataCenter& core(TrainId train);
     const exporter::DataCenter& core(TrainId train) const;
     DataCenterId id() const noexcept { return config_.core.id; }
-    std::size_t shard_count() const noexcept { return rigs_.size(); }
 
     std::uint64_t ingest_dropped() const noexcept { return executor_.dropped(); }
     std::size_t ingest_queue_depth() const noexcept { return executor_.queue_depth(); }

@@ -153,7 +153,6 @@ public:
     /// counted in the receiver's `dropped_partition`, instead of being
     /// silently delivered into a dead process.
     void set_endpoint_down(EndpointId id, bool down);
-    bool endpoint_down(EndpointId id) const { return down_.contains(id); }
 
     const TrafficStats& stats(EndpointId id);
 

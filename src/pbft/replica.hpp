@@ -220,10 +220,6 @@ public:
     /// Requests accumulated in the primary's open (unflushed) batch.
     std::size_t open_batch_size() const noexcept { return open_batch_.size(); }
 
-    /// The view-change timeout that would be armed right now (adaptive
-    /// base once RTT samples exist, the fixed config value otherwise).
-    Duration current_view_timeout() const { return vc_timeout_.base(); }
-
     /// The adaptive estimator (exposed for tests and health sampling).
     const AdaptiveTimeout& adaptive_timeout() const noexcept { return vc_timeout_; }
 

@@ -6,9 +6,6 @@
 
 namespace zc::runtime {
 
-/// Data centers occupy endpoint ids kDcEndpointBase + dc.
-inline constexpr net::EndpointId kDcEndpointBase = 100;
-
 // ---- adapters -----------------------------------------------------------
 
 struct Node::PbftTransportAdapter final : pbft::Transport {

@@ -144,7 +144,6 @@ public:
     baseline::BaselineClient* client() noexcept { return client_.get(); }
     zugchain::ChainApp& chain_app() noexcept { return *chain_app_; }
     chain::BlockStore& store() noexcept { return store_; }
-    exporter::ExportServer& export_server() noexcept { return *export_server_; }
     sim::MeteredExecutor& executor() noexcept { return *executor_; }
     metrics::MemoryTracker& memory() noexcept { return memory_; }
     const metrics::LatencyRecorder& latency() const noexcept { return latency_; }

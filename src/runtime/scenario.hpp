@@ -124,7 +124,7 @@ struct ScenarioConfig : FaultPlan {
 
     /// Request-lifecycle trace sink attached to every node and data
     /// center (null = tracing off). DC events record under trace pid
-    /// 100 + dc id, matching the network endpoint numbering.
+    /// kDcEndpointBase + dc id, matching the network endpoint numbering.
     trace::TraceSink* trace_sink = nullptr;
 
     /// Health taps (null = off; zero scheduling cost then). Every

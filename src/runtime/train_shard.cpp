@@ -242,15 +242,16 @@ void TrainShard::start() { bus_->start(); }
 
 void TrainShard::install_state_fetcher(Node& node) {
     // State transfer (paper §III-D discussion (ii)): a lagging replica
-    // fetches missing blocks from a peer, stages them, and validates the
-    // staged range — contiguity, parent links, payload roots and the final
-    // head hash against the quorum-certified checkpoint digest — before
-    // anything touches the durable store or the layer's logged set. A peer
-    // serving a forged-but-hash-linked range is rejected at the digest
-    // check and the fetcher moves to the next peer. Modelled as a
-    // validated in-process copy; the bulk-transfer cost is charged to the
-    // CPU model (bandwidth cost is covered by the export experiments).
-    // Re-installed after a restart (the chain app is rebuilt).
+    // fetches missing blocks from a peer and adopts them only through
+    // chain::BlockStore::adopt, which validates the staged range —
+    // contiguity, parent links, payload roots and the final head hash
+    // against the quorum-certified checkpoint digest — before anything
+    // touches the durable store or the layer's logged set. A peer serving
+    // a forged-but-hash-linked range is rejected at the digest check and
+    // the fetcher moves to the next peer. Modelled as a validated
+    // in-process copy; the bulk-transfer cost is charged to the CPU model
+    // (bandwidth cost is covered by the export experiments). Re-installed
+    // after a restart (the chain app is rebuilt).
     Node* self = &node;
     self->chain_app().set_state_fetcher([this, self](SeqNo seq, const crypto::Digest& state) {
         const ScenarioConfig& cfg = *config_;
@@ -259,6 +260,36 @@ void TrainShard::install_state_fetcher(Node& node) {
             const chain::BlockHeader* h = self->store().header(target);
             return h != nullptr && h->hash() == state;
         }
+        const chain::ChargeFn charge = [self](std::size_t bytes) {
+            self->crypto().charge_hash(bytes);
+        };
+        // Adopted requests count as logged without a DECIDE.
+        const auto mark_logged = [self, &cfg](const chain::Block& b) {
+            for (const chain::LoggedRequest& req : b.requests) {
+                const crypto::Digest d = crypto::sha256(req.payload);
+                if (self->layer() != nullptr) self->layer()->mark_logged(d);
+                if (cfg.auditor != nullptr) cfg.auditor->note_logged(self->id(), d);
+            }
+        };
+        const auto reject = [this, self, &cfg, seq, target](const char* what, Height lo,
+                                                            NodeId peer) {
+            ZC_WARN("scenario", "node {} rejected {} range [{}, {}] from node {}", self->id(),
+                    what, lo, target, peer);
+            state_transfer_rejected_ += 1;
+            if (cfg.trace_sink != nullptr) {
+                cfg.trace_sink->event(self->id(), env_.sim->now(),
+                                      trace::Phase::kStateTransferRejected, seq, peer);
+            }
+        };
+        const auto accept = [this, self, &cfg, seq](std::uint64_t copied) {
+            state_transfer_fetches_ += 1;
+            state_transfer_blocks_ += copied;
+            if (cfg.trace_sink != nullptr) {
+                cfg.trace_sink->event(self->id(), env_.sim->now(), trace::Phase::kStateTransfer,
+                                      seq, copied);
+            }
+            return true;
+        };
         const Height from = self->store().head_height() + 1;
         for (const auto& peer : nodes_) {
             if (peer.get() == self || !peer->alive()) continue;
@@ -304,54 +335,21 @@ void TrainShard::install_state_fetcher(Node& node) {
                     continue;
                 }
 
-                std::vector<chain::Block> staged = src.range(anchor->base_height, target);
-                bool ok = !staged.empty() &&
-                          staged.size() == target - anchor->base_height + 1 &&
-                          staged.front().header.height == anchor->base_height &&
-                          staged.front().hash() == anchor->base_hash &&
-                          staged.front().payload_valid();
-                crypto::Digest prev = ok ? anchor->base_hash : crypto::Digest{};
-                Height expect = anchor->base_height + 1;
-                for (std::size_t i = 1; ok && i < staged.size(); ++i) {
-                    const chain::Block& b = staged[i];
-                    self->crypto().charge_hash(b.size_bytes());
-                    ok = b.header.height == expect && b.header.parent_hash == prev &&
-                         b.payload_valid();
-                    prev = b.hash();
-                    expect += 1;
-                }
-                if (!ok || prev != state) {
-                    state_transfer_rejected_ += 1;
-                    ZC_WARN("scenario",
-                            "node {} rejected rebase range [{}, {}] from node {}",
-                            self->id(), anchor->base_height, target, peer->id());
-                    if (cfg.trace_sink != nullptr) {
-                        cfg.trace_sink->event(self->id(), env_.sim->now(),
-                                              trace::Phase::kStateTransferRejected, seq,
-                                              peer->id());
-                    }
+                const chain::Block* base = src.get(anchor->base_height);
+                std::vector<chain::Block> tail = src.range(anchor->base_height + 1, target);
+                if (base == nullptr || base->hash() != anchor->base_hash ||
+                    !base->payload_valid() ||
+                    !chain::extends(anchor->base_height, anchor->base_hash, tail, target, state,
+                                    charge)) {
+                    reject("rebase", anchor->base_height, peer->id());
                     continue;
                 }
 
-                for (const chain::Block& b : staged) {
-                    for (const chain::LoggedRequest& req : b.requests) {
-                        const crypto::Digest d = crypto::sha256(req.payload);
-                        if (self->layer() != nullptr) self->layer()->mark_logged(d);
-                        if (cfg.auditor != nullptr) cfg.auditor->note_logged(self->id(), d);
-                    }
-                }
-                const std::uint64_t copied = staged.size();
-                self->store().rebase(std::move(staged.front()), anchor->evidence);
-                for (std::size_t i = 1; i < staged.size(); ++i) {
-                    self->store().append(std::move(staged[i]));
-                }
-                state_transfer_fetches_ += 1;
-                state_transfer_blocks_ += copied;
-                if (cfg.trace_sink != nullptr) {
-                    cfg.trace_sink->event(self->id(), env_.sim->now(),
-                                          trace::Phase::kStateTransfer, seq, copied);
-                }
-                return true;
+                mark_logged(*base);
+                for (const chain::Block& b : tail) mark_logged(b);
+                self->store().rebase(*base, anchor->evidence);
+                for (chain::Block& b : tail) self->store().append(std::move(b));
+                return accept(tail.size() + 1);
             }
 
             // A compromised peer may serve a forged-but-hash-linked range
@@ -364,86 +362,11 @@ void TrainShard::install_state_fetcher(Node& node) {
             } else {
                 staged = src.range(from, target);
             }
-
-#ifdef ZC_BREAK_VALIDATION
-            // Pre-hardening behaviour, kept behind a build flag so CI can
-            // prove the safety auditor catches the resulting poisoning:
-            // blocks enter the durable store (and the layer's logged set)
-            // before the checkpoint-digest check runs.
-            bool ok = true;
-            std::uint64_t copied = 0;
-            for (chain::Block& b : staged) {
-                self->crypto().charge_hash(b.size_bytes());
-                std::vector<crypto::Digest> digests;
-                for (const chain::LoggedRequest& req : b.requests) {
-                    digests.push_back(crypto::sha256(req.payload));
-                }
-                try {
-                    self->store().append(std::move(b));
-                } catch (const std::invalid_argument&) {
-                    ok = false;
-                    break;
-                }
-                copied += 1;
-                for (const crypto::Digest& d : digests) {
-                    if (self->layer() != nullptr) self->layer()->mark_logged(d);
-                    if (cfg.auditor != nullptr) cfg.auditor->note_logged(self->id(), d);
-                }
-            }
-            if (ok && self->store().head_height() >= target &&
-                self->store().head_hash() == state) {
-                state_transfer_fetches_ += 1;
-                state_transfer_blocks_ += copied;
-                if (cfg.trace_sink != nullptr) {
-                    cfg.trace_sink->event(self->id(), env_.sim->now(),
-                                          trace::Phase::kStateTransfer, seq, copied);
-                }
-                return true;
-            }
-#else
-            // Stage-then-adopt: validate the whole range incrementally
-            // from our head up to the checkpoint digest, then append.
-            bool ok = staged.size() == target - from + 1;
-            crypto::Digest prev = self->store().head_hash();
-            Height expect = from;
-            for (const chain::Block& b : staged) {
-                if (!ok) break;
-                self->crypto().charge_hash(b.size_bytes());
-                ok = b.header.height == expect && b.header.parent_hash == prev &&
-                     b.payload_valid();
-                prev = b.hash();
-                expect += 1;
-            }
-            if (!ok || prev != state) {
-                state_transfer_rejected_ += 1;
-                ZC_WARN("scenario",
-                        "node {} rejected state-transfer range [{}, {}] from node {}",
-                        self->id(), from, target, peer->id());
-                if (cfg.trace_sink != nullptr) {
-                    cfg.trace_sink->event(self->id(), env_.sim->now(),
-                                          trace::Phase::kStateTransferRejected, seq,
-                                          peer->id());
-                }
+            if (!self->store().adopt(staged, target, state, charge, mark_logged)) {
+                reject("state-transfer", from, peer->id());
                 continue;  // try the next peer
             }
-            std::uint64_t copied = 0;
-            for (chain::Block& b : staged) {
-                for (const chain::LoggedRequest& req : b.requests) {
-                    const crypto::Digest d = crypto::sha256(req.payload);
-                    if (self->layer() != nullptr) self->layer()->mark_logged(d);
-                    if (cfg.auditor != nullptr) cfg.auditor->note_logged(self->id(), d);
-                }
-                self->store().append(std::move(b));
-                copied += 1;
-            }
-            state_transfer_fetches_ += 1;
-            state_transfer_blocks_ += copied;
-            if (cfg.trace_sink != nullptr) {
-                cfg.trace_sink->event(self->id(), env_.sim->now(),
-                                      trace::Phase::kStateTransfer, seq, copied);
-            }
-            return true;
-#endif
+            return accept(target - from + 1);
         }
         return false;
     });

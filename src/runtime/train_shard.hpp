@@ -27,10 +27,6 @@ namespace zc::runtime {
 
 struct ScenarioConfig;  // defined in runtime/scenario.hpp
 
-/// Network endpoint of data center d on a consist network: 100 + d
-/// (replicas are 0..n-1). Trace pids use the same numbering.
-inline constexpr net::EndpointId kDcEndpointBase = 100;
-
 /// The substrate one shard plugs into. In a fleet every shard shares the
 /// simulation (one virtual clock) but owns its network. Shards fork their
 /// rng streams with the same labels; Rng::fork advances the parent

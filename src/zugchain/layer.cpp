@@ -229,11 +229,9 @@ void CommunicationLayer::deliver(const pbft::Request& request, SeqNo seq) {
     sink_.log(request, digest, request.origin, seq);  // Alg. 1 ln. 20
 }
 
-crypto::Digest CommunicationLayer::state_digest(SeqNo seq) {
-    return downstream_ != nullptr ? downstream_->state_digest(seq) : crypto::Digest{};
-}
+crypto::Digest CommunicationLayer::state_digest(SeqNo) { return crypto::Digest{}; }
 
-void CommunicationLayer::new_primary(View view, NodeId primary) {
+void CommunicationLayer::new_primary(View, NodeId primary) {
     primary_ = primary;
 
     // Alg. 1 ln. 36-43. "Open" excludes requests with a running consensus
@@ -264,13 +262,9 @@ void CommunicationLayer::new_primary(View view, NodeId primary) {
             start_soft_timer(digest);  // ln. 43
         }
     }
-
-    if (downstream_ != nullptr) downstream_->new_primary(view, primary);
 }
 
-void CommunicationLayer::stable_checkpoint(SeqNo seq, const pbft::CheckpointProof& proof) {
-    if (downstream_ != nullptr) downstream_->stable_checkpoint(seq, proof);
-}
+void CommunicationLayer::stable_checkpoint(SeqNo, const pbft::CheckpointProof&) {}
 
 void CommunicationLayer::preprepared(const pbft::Request& request) {
     if (!config_.cancel_soft_on_preprepare || request.is_null()) return;
@@ -282,8 +276,6 @@ void CommunicationLayer::preprepared(const pbft::Request& request) {
     }
 }
 
-void CommunicationLayer::sync_state(SeqNo seq, const crypto::Digest& state) {
-    if (downstream_ != nullptr) downstream_->sync_state(seq, state);
-}
+void CommunicationLayer::sync_state(SeqNo, const crypto::Digest&) {}
 
 }  // namespace zc::zugchain

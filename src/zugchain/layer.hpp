@@ -146,6 +146,9 @@ public:
     void on_peer_request(NodeId from, const pbft::Request& request, bool forwarded);
 
     // -- pbft::Application (upcalls from the replica) --------------------
+    // The chain state upcalls (state_digest, stable_checkpoint,
+    // sync_state) belong to zugchain::ChainApp, where Node::AppShim routes
+    // them; the layer's own overrides are no-ops.
     void deliver(const pbft::Request& request, SeqNo seq) override;
     crypto::Digest state_digest(SeqNo seq) override;
     void new_primary(View view, NodeId primary) override;
@@ -153,12 +156,7 @@ public:
     void preprepared(const pbft::Request& request) override;
     void sync_state(SeqNo seq, const crypto::Digest& state) override;
 
-    /// Chains a downstream application that needs the same upcalls
-    /// (the blockchain app provides state digests and block building).
-    void attach_downstream(pbft::Application& app) { downstream_ = &app; }
-
     const LayerStats& stats() const noexcept { return stats_; }
-    NodeId current_primary() const noexcept { return primary_; }
     std::size_t open_requests() const noexcept { return open_.size(); }
 
     /// True if the payload digest is in the dedup window (tests).
@@ -218,7 +216,6 @@ private:
     LayerTransport& transport_;
     LogSink& sink_;
     ConsensusHandle* consensus_ = nullptr;
-    pbft::Application* downstream_ = nullptr;
     metrics::Gauge* queue_gauge_;
     trace::TraceSink* trace_ = nullptr;
 

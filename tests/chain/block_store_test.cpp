@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
 #include "chain/block_store.hpp"
 #include "common/rng.hpp"
@@ -143,6 +145,88 @@ TEST(BlockStore, GaugeTracksBytes) {
     store.prune_to(3, {});
     EXPECT_EQ(static_cast<std::size_t>(gauge->value()), store.stored_bytes());
     EXPECT_EQ(tracker.underflows(), 0u);
+}
+
+TEST(BlockStore, AdoptAppendsOnlyARangeEndingAtTheCheckpoint) {
+    // The peer holds heights 1..7; we hold 1..2 and stage 3..7 against
+    // the checkpoint digest of height 7.
+    BlockStore peer;
+    extend(peer, 7);
+    const Height target = 7;
+    const crypto::Digest state = peer.header(target)->hash();
+
+    struct Case {
+        const char* name;
+        std::function<void(std::vector<Block>&)> mutate;
+        crypto::Digest state;
+        bool ok;
+        std::size_t charged;  ///< blocks charged before the verdict
+        std::size_t left;     ///< blocks left in the range on failure
+    };
+    const auto keep = [](std::vector<Block>&) {};
+    const std::vector<Case> cases = {
+        {"valid", keep, state, true, 5, 0},
+        {"duplicates and out-of-window heights ignored",
+         [&](std::vector<Block>& r) {
+             r.push_back(r[1]);          // height 4 again
+             r.push_back(*peer.get(2));  // at our head
+             r.push_back(*peer.get(1));  // below it
+             r.push_back(Block::build(8, state, 8, make_requests(1, 8)));  // above target
+             std::reverse(r.begin(), r.end());
+         },
+         state, true, 5, 0},
+        {"gap", [](std::vector<Block>& r) { r.erase(r.begin() + 2); }, state, false, 0, 4},
+        {"short range", [](std::vector<Block>& r) { r.resize(2); }, state, false, 0, 2},
+        {"wrong parent", [](std::vector<Block>& r) { r[1].header.parent_hash = {}; }, state,
+         false, 2, 5},
+        {"bad payload root", [](std::vector<Block>& r) { r[2].requests[0].payload[0] ^= 1; },
+         state, false, 3, 5},
+        {"digest mismatch", keep, crypto::Digest{}, false, 5, 5},
+    };
+
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        BlockStore store;
+        for (Height h = 1; h <= 2; ++h) store.append(*peer.get(h));
+        const crypto::Digest head_hash = store.head_hash();
+        std::vector<Block> staged = peer.range(3, target);
+        c.mutate(staged);
+
+        std::size_t charged = 0;
+        std::size_t charged_bytes = 0;
+        const ChargeFn charge = [&](std::size_t bytes) {
+            charged += 1;
+            charged_bytes += bytes;
+        };
+        std::vector<Block> pure = staged;
+        EXPECT_EQ(extends(store.head_height(), head_hash, pure, target, c.state, charge), c.ok);
+        EXPECT_EQ(charged, c.charged);
+
+        charged = 0;
+        charged_bytes = 0;
+        std::vector<Height> adopted;
+        const bool ok = store.adopt(staged, target, c.state, charge, [&](const Block& b) {
+            EXPECT_EQ(b.header.height, store.head_height() + 1);  // not yet appended
+            adopted.push_back(b.header.height);
+        });
+        EXPECT_EQ(ok, c.ok);
+        EXPECT_EQ(charged, c.charged);
+        EXPECT_EQ(staged.size(), c.left);
+        if (c.ok) {
+            EXPECT_EQ(adopted, (std::vector<Height>{3, 4, 5, 6, 7}));
+            EXPECT_EQ(store.head_height(), target);
+            EXPECT_EQ(store.head_hash(), state);
+            EXPECT_TRUE(store.validate(0, target));
+            std::size_t bytes = 0;
+            for (Height h = 3; h <= target; ++h) bytes += peer.get(h)->size_bytes();
+            EXPECT_EQ(charged_bytes, bytes);
+        } else {
+            EXPECT_TRUE(adopted.empty());
+            EXPECT_EQ(store.head_height(), 2u);
+            EXPECT_EQ(store.head_hash(), head_hash);
+            EXPECT_EQ(store.size(), 3u);
+        }
+    }
 }
 
 class PersistentStoreTest : public ::testing::Test {

@@ -311,5 +311,43 @@ TEST_F(DcFixture, ForgedBlockRangeRejectedBeforeStore) {
     EXPECT_NE(chosen_full(), full);
 }
 
+TEST_F(DcFixture, ForgedSyncRangeRejectedBeforeStore) {
+    // A genuine sync brings us to height 4 (and issues its deletes).
+    DcSync genuine;
+    genuine.from = 1;
+    genuine.proof = proof_at(4);
+    genuine.blocks = train_chain.range(1, 4);
+    crypto::WorkMeter m;
+    crypto::CryptoContext peer_dc(provider, directory, dc_keys[1], costs, m);
+    genuine.sig = peer_dc.sign(genuine.signing_bytes());
+    dc->on_message(ExportMessage{genuine});
+    ASSERT_EQ(dc->store().head_height(), 4u);
+    transport.to_replicas.clear();
+
+    // The peer DC then serves blocks 5..8 that hash-link from our head
+    // but are not the certified chain: only the proof digest catches them.
+    chain::BlockStore forged;
+    for (Height h = 1; h <= 4; ++h) forged.append(*train_chain.get(h));
+    for (Height h = 5; h <= 8; ++h) {
+        std::vector<chain::LoggedRequest> reqs(1);
+        reqs[0].payload = to_bytes("forged" + std::to_string(h));
+        forged.append(chain::Block::build(h, forged.head_hash(), static_cast<std::int64_t>(h),
+                                          std::move(reqs)));
+    }
+    DcSync sync;
+    sync.from = 1;
+    sync.proof = proof_at(8);
+    sync.blocks = forged.range(5, 8);
+    sync.sig = peer_dc.sign(sync.signing_bytes());
+    const std::uint64_t invalid_before = dc->stats().invalid_messages;
+    dc->on_message(ExportMessage{sync});
+
+    EXPECT_EQ(dc->stats().blocks_rejected, 4u);
+    EXPECT_EQ(dc->stats().invalid_messages, invalid_before + 1);
+    EXPECT_EQ(dc->store().head_height(), 4u);
+    EXPECT_EQ(dc->store().head_hash(), train_chain.header(4)->hash());
+    EXPECT_TRUE(transport.replica_msgs<DeleteCmd>().empty());
+}
+
 }  // namespace
 }  // namespace zc::exporter

@@ -739,7 +739,7 @@ int main(int argc, char** argv) {
             tracer.set_process_label(i, "node-" + std::to_string(i));
         }
         for (std::uint32_t d = 0; d < args.cfg.dc_count; ++d) {
-            tracer.set_process_label(100 + d, "dc-" + std::to_string(d));
+            tracer.set_process_label(kDcEndpointBase + d, "dc-" + std::to_string(d));
         }
     }
 
@@ -1033,7 +1033,8 @@ int main(int argc, char** argv) {
         std::printf("violations              : %zu\n", audit.violations.size());
         for (const faults::Violation& v : audit.violations) {
             std::printf("  %s at %s%u height %llu: %s\n", faults::violation_name(v.kind),
-                        v.where >= 100 ? "dc-" : "node-", v.where >= 100 ? v.where - 100 : v.where,
+                        v.where >= kDcEndpointBase ? "dc-" : "node-",
+                        v.where >= kDcEndpointBase ? v.where - kDcEndpointBase : v.where,
                         static_cast<unsigned long long>(v.height), v.detail.c_str());
         }
     }
