@@ -5,13 +5,49 @@
 
 namespace zc::chain {
 
-void LoggedRequest::encode(codec::Writer& w) const {
-    w.bytes(payload);
-    w.u32(origin);
-    w.u64(seq);
-    w.u64(origin_seq);
-    w.raw(sig.v);
+namespace {
+
+/// The one leaf layout, shared by encode() and digest(): `Out` is a
+/// codec::Writer or a LeafHasher.
+template <typename Out>
+void put_fields(const LoggedRequest& req, Out& out) {
+    out.bytes(req.payload);
+    out.u32(req.origin);
+    out.u64(req.seq);
+    out.u64(req.origin_seq);
+    out.raw(req.sig.v);
 }
+
+/// Hashes the bytes a codec::Writer would append into a Merkle leaf as
+/// they are produced, so a leaf needs no encoded copy of its request.
+class LeafHasher {
+public:
+    void bytes(BytesView v) {
+        std::uint8_t len[10] = {};
+        h_.update(len, codec::put_varint(v.size(), len));
+        h_.update(v);
+    }
+    void u32(std::uint32_t v) { little_endian(v, 4); }
+    void u64(std::uint64_t v) { little_endian(v, 8); }
+    template <std::size_t N>
+    void raw(const std::array<std::uint8_t, N>& v) {
+        h_.update(v.data(), N);
+    }
+    crypto::Digest finalize() { return h_.finalize(); }
+
+private:
+    void little_endian(std::uint64_t v, std::size_t n) {
+        std::uint8_t b[8] = {};
+        for (std::size_t i = 0; i < n; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+        h_.update(b, n);
+    }
+
+    crypto::Sha256 h_ = merkle_leaf_hasher();
+};
+
+}  // namespace
+
+void LoggedRequest::encode(codec::Writer& w) const { put_fields(*this, w); }
 
 LoggedRequest LoggedRequest::decode(codec::Reader& r) {
     LoggedRequest req;
@@ -24,7 +60,9 @@ LoggedRequest LoggedRequest::decode(codec::Reader& r) {
 }
 
 crypto::Digest LoggedRequest::digest() const {
-    return merkle_leaf(codec::encode_to_bytes(*this));
+    LeafHasher h;
+    put_fields(*this, h);
+    return h.finalize();
 }
 
 void BlockHeader::encode(codec::Writer& w) const {

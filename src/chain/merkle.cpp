@@ -23,13 +23,14 @@ crypto::Digest empty_root() {
 
 }  // namespace
 
-crypto::Digest merkle_leaf(BytesView data) {
+crypto::Sha256 merkle_leaf_hasher() noexcept {
     crypto::Sha256 h;
     const std::uint8_t tag = 0x00;
     h.update(&tag, 1);
-    h.update(data);
-    return h.finalize();
+    return h;
 }
+
+crypto::Digest merkle_leaf(BytesView data) { return merkle_leaf_hasher().update(data).finalize(); }
 
 crypto::Digest merkle_root(std::span<const crypto::Digest> leaves) {
     if (leaves.empty()) return empty_root();

@@ -5,11 +5,17 @@
 #include <vector>
 
 #include "crypto/digest.hpp"
+#include "crypto/sha256.hpp"
 
 namespace zc::chain {
 
 /// Domain-separated leaf hash (0x00 || data).
 crypto::Digest merkle_leaf(BytesView data);
+
+/// A hash context already fed the leaf tag: merkle_leaf(data) is
+/// merkle_leaf_hasher().update(data).finalize(), so a leaf can be hashed
+/// as its bytes are produced, without building them in a buffer.
+crypto::Sha256 merkle_leaf_hasher() noexcept;
 
 /// Root of the given leaf digests. Empty input hashes a fixed sentinel so
 /// an empty block still has a well-defined root. Odd levels duplicate the

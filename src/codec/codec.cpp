@@ -1,8 +1,21 @@
 #include "codec/codec.hpp"
 
+#include <atomic>
 #include <cstring>
 
 namespace zc::codec {
+
+namespace {
+std::atomic<std::uint64_t> g_decode_errors{0};
+}  // namespace
+
+DecodeError::DecodeError(const std::string& what) : std::runtime_error(what) {
+    ++g_decode_errors;
+}
+
+std::uint64_t DecodeError::constructed() noexcept {
+    return g_decode_errors.load();
+}
 
 void Writer::u16(std::uint16_t v) {
     buf_.push_back(static_cast<std::uint8_t>(v));
@@ -24,11 +37,8 @@ void Writer::f64(double v) {
 }
 
 void Writer::varint(std::uint64_t v) {
-    while (v >= 0x80) {
-        buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    buf_.push_back(static_cast<std::uint8_t>(v));
+    std::uint8_t out[10] = {};
+    buf_.insert(buf_.end(), out, out + put_varint(v, out));
 }
 
 void Writer::bytes(BytesView v) {
@@ -83,28 +93,49 @@ double Reader::f64() {
     return v;
 }
 
-std::uint64_t Reader::varint() {
+const char* Reader::read_varint(std::uint64_t& out) noexcept {
     std::uint64_t v = 0;
     int shift = 0;
     for (;;) {
-        need(1);
+        if (remaining() < 1) return "unexpected end of buffer";
         const std::uint8_t b = data_[pos_++];
-        if (shift == 63 && (b & 0x7e) != 0) throw DecodeError("varint overflow");
+        if (shift == 63 && (b & 0x7e) != 0) return "varint overflow";
         v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if ((b & 0x80) == 0) return v;
+        if ((b & 0x80) == 0) {
+            out = v;
+            return nullptr;
+        }
         shift += 7;
-        if (shift > 63) throw DecodeError("varint too long");
+        if (shift > 63) return "varint too long";
     }
 }
 
-Bytes Reader::bytes(std::size_t max_len) {
-    const std::uint64_t len = varint();
-    if (len > max_len) throw DecodeError("length-delimited field too large");
-    need(len);
-    Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-              data_.begin() + static_cast<std::ptrdiff_t>(pos_ + len));
+const char* Reader::read_view(std::size_t max_len, BytesView& out) noexcept {
+    std::uint64_t len = 0;
+    if (const char* err = read_varint(len)) return err;
+    if (len > max_len) return "length-delimited field too large";
+    if (remaining() < len) return "unexpected end of buffer";
+    out = data_.subspan(pos_, len);
     pos_ += len;
-    return out;
+    return nullptr;
+}
+
+std::uint64_t Reader::varint() {
+    std::uint64_t v = 0;
+    if (const char* err = read_varint(v)) throw DecodeError(err);
+    return v;
+}
+
+Bytes Reader::bytes(std::size_t max_len) {
+    BytesView v;
+    if (const char* err = read_view(max_len, v)) throw DecodeError(err);
+    return Bytes(v.begin(), v.end());
+}
+
+std::optional<BytesView> Reader::try_bytes_view(std::size_t max_len) noexcept {
+    BytesView v;
+    if (read_view(max_len, v) != nullptr) return std::nullopt;
+    return v;
 }
 
 std::string Reader::str(std::size_t max_len) {

@@ -22,8 +22,29 @@ namespace zc::codec {
 /// Thrown when decoding runs past the buffer or violates a limit.
 class DecodeError : public std::runtime_error {
 public:
-    explicit DecodeError(const std::string& what) : std::runtime_error(what) {}
+    explicit DecodeError(const std::string& what);
+
+    /// Process-wide number of DecodeErrors constructed so far. A clean
+    /// run's hot paths decode without throwing; tests pin that this does
+    /// not move.
+    static std::uint64_t constructed() noexcept;
 };
+
+/// Writes `v` as an LEB128 varint to `out` (room for 10 bytes) and
+/// returns its length: the encoding Writer::varint appends.
+inline std::size_t put_varint(std::uint64_t v, std::uint8_t* out) noexcept {
+    std::size_t n = 0;
+    for (; v >= 0x80; v >>= 7) out[n++] = static_cast<std::uint8_t>(v) | 0x80;
+    out[n++] = static_cast<std::uint8_t>(v);
+    return n;
+}
+
+/// Length of put_varint's encoding of `v` (1-10).
+constexpr std::size_t varint_size(std::uint64_t v) noexcept {
+    std::size_t n = 1;
+    for (; v >= 0x80; v >>= 7) ++n;
+    return n;
+}
 
 /// Appends primitives to a growing byte buffer.
 class Writer {
@@ -80,6 +101,11 @@ public:
     Bytes bytes(std::size_t max_len = kDefaultMaxLen);
     std::string str(std::size_t max_len = kDefaultMaxLen);
 
+    /// Non-throwing bytes() for hot receive paths: nullopt exactly where
+    /// bytes() would throw (the position is then unspecified). The view
+    /// points into the reader's buffer; nothing is copied.
+    std::optional<BytesView> try_bytes_view(std::size_t max_len = kDefaultMaxLen) noexcept;
+
     /// Fixed-size raw read.
     void raw(std::uint8_t* out, std::size_t n);
     template <std::size_t N>
@@ -100,6 +126,9 @@ public:
 
 private:
     void need(std::size_t n) const;
+    // The one definition of each rule: null on success, else the error.
+    const char* read_varint(std::uint64_t& out) noexcept;
+    const char* read_view(std::size_t max_len, BytesView& out) noexcept;
 
     BytesView data_;
     std::size_t pos_ = 0;

@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 
 namespace zc::crypto {
@@ -31,13 +30,16 @@ KeyPair FastProvider::generate(Rng& rng) {
     const Digest pub = sha256(pub_input);
     std::memcpy(kp.pub.v.data(), pub.data(), pub.size());
 
-    registry_[kp.pub] = kp.seed;
+    registry_[kp.pub] = Secret{kp.seed, std::nullopt};
     return kp;
 }
 
-Signature FastProvider::compute(const std::array<std::uint8_t, 32>& seed,
-                                BytesView message) const {
-    const Digest mac = hmac_sha256(BytesView{seed.data(), seed.size()}, message);
+const HmacKey& FastProvider::pads(Secret& secret) {
+    if (!secret.pads) secret.pads.emplace(BytesView{secret.seed.data(), secret.seed.size()});
+    return *secret.pads;
+}
+
+Signature FastProvider::finish(const Digest& mac) {
     // Second half binds a domain-separated copy so the signature is 64 bytes
     // like Ed25519 and on-wire sizes match exactly: SHA256(mac || "ext").
     static constexpr std::uint8_t kExt[] = {'e', 'x', 't'};
@@ -51,13 +53,19 @@ Signature FastProvider::compute(const std::array<std::uint8_t, 32>& seed,
 }
 
 Signature FastProvider::sign(const KeyPair& key, BytesView message) {
-    return compute(key.seed, message);
+    // A key this provider generated signs from its cached pads; any other
+    // key pair derives them for this one signature.
+    const auto it = registry_.find(key.pub);
+    if (it != registry_.end() && it->second.seed == key.seed) {
+        return finish(pads(it->second).mac(message));
+    }
+    return finish(HmacKey(BytesView{key.seed.data(), key.seed.size()}).mac(message));
 }
 
 bool FastProvider::verify(const PublicKey& pub, BytesView message, const Signature& sig) {
     const auto it = registry_.find(pub);
     if (it == registry_.end()) return false;
-    const Signature expected = compute(it->second, message);
+    const Signature expected = finish(pads(it->second).mac(message));
     return equal_ct(BytesView{expected.v.data(), expected.v.size()},
                     BytesView{sig.v.data(), sig.v.size()});
 }

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "common/rng.hpp"
 #include "crypto/digest.hpp"
 #include "crypto/ed25519.hpp"
+#include "crypto/hmac.hpp"
 
 namespace zc::crypto {
 
@@ -59,10 +61,16 @@ public:
     const char* name() const noexcept override { return "fast-hmac"; }
 
 private:
-    Signature compute(const std::array<std::uint8_t, 32>& seed, BytesView message) const;
+    struct Secret {
+        std::array<std::uint8_t, 32> seed{};
+        std::optional<HmacKey> pads;  ///< made on the key's first use
+    };
+
+    static const HmacKey& pads(Secret& secret);
+    static Signature finish(const Digest& mac);
 
     // public key -> seed, so any party can "verify" in-process.
-    std::unordered_map<PublicKey, std::array<std::uint8_t, 32>, PublicKeyHash> registry_;
+    std::unordered_map<PublicKey, Secret, PublicKeyHash> registry_;
 };
 
 /// Instrumentation wrapper counting provider-level verify work: total

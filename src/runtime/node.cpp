@@ -23,10 +23,15 @@ struct Node::PbftTransportAdapter final : pbft::Transport {
     }
 
     void broadcast(const pbft::Message& m) override {
-        for (std::uint32_t i = 0; i < node.options_.n; ++i) {
-            if (i == node.options_.id) continue;
-            send(i, m);
+        // The adversary may tamper per recipient, so its traffic stays
+        // per peer; an honest broadcast is encoded once.
+        if (node.adversary_ != nullptr) {
+            for (std::uint32_t i = 0; i < node.options_.n; ++i) {
+                if (i != node.options_.id) send(i, m);
+            }
+            return;
         }
+        node.broadcast_enveloped(Channel::kPbft, pbft::encode_message(m));
     }
 
     Node& node;
@@ -42,12 +47,7 @@ struct Node::LayerTransportAdapter final : zugchain::LayerTransport {
             zugchain::encode_peer_request(zugchain::PeerRequest{r, /*forwarded=*/false});
         const int copies =
             node.adversary_ != nullptr && node.adversary_->replay_layer() ? 2 : 1;
-        for (int c = 0; c < copies; ++c) {
-            for (std::uint32_t i = 0; i < node.options_.n; ++i) {
-                if (i == node.options_.id) continue;
-                node.send_enveloped(i, Channel::kLayer, body);
-            }
-        }
+        for (int c = 0; c < copies; ++c) node.broadcast_enveloped(Channel::kLayer, body);
     }
 
     void forward(NodeId to, const pbft::Request& request) override {
@@ -335,9 +335,17 @@ void Node::restart(View start_view) {
     }
 }
 
-void Node::send_enveloped(net::EndpointId to, Channel channel, Bytes body) {
+void Node::send_enveloped(net::EndpointId to, Channel channel, BytesView body) {
     if (!alive_) return;
-    network_.send(options_.id, to, encode_envelope(channel, std::move(body)));
+    network_.send(options_.id, to, encode_envelope(channel, body));
+}
+
+void Node::broadcast_enveloped(Channel channel, BytesView body) {
+    if (!alive_) return;
+    const Bytes wire = encode_envelope(channel, body);
+    for (std::uint32_t i = 0; i < options_.n; ++i) {
+        if (i != options_.id) network_.send(options_.id, i, wire);
+    }
 }
 
 void Node::on_telegram(const bus::Telegram& telegram) { on_telegram_from(0, telegram); }
@@ -470,7 +478,7 @@ void Node::deliver(net::EndpointId from, Bytes message) {
 void Node::dispatch(net::EndpointId from, BytesView raw) {
     const auto envelope = decode_envelope(raw);
     if (!envelope) return;
-    const BytesView body{envelope->body.data(), envelope->body.size()};
+    const BytesView body = envelope->body;
     switch (envelope->channel) {
         case Channel::kPbft: {
             if (from >= options_.n) return;

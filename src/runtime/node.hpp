@@ -186,7 +186,9 @@ private:
     void maybe_duplicate();
     void record_receive_time(const crypto::Digest& payload_digest);
     void record_logged(const pbft::Request& request, const crypto::Digest& payload_digest);
-    void send_enveloped(net::EndpointId to, Channel channel, Bytes body);
+    void send_enveloped(net::EndpointId to, Channel channel, BytesView body);
+    /// Sends one envelope, encoded once, to every peer replica.
+    void broadcast_enveloped(Channel channel, BytesView body);
 
     NodeOptions options_;
     sim::Simulation& sim_;

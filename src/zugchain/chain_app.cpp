@@ -23,15 +23,16 @@ Bytes ChainApp::make_trim_request(Height up_to) {
 }
 
 std::optional<Height> ChainApp::parse_trim_request(BytesView payload) {
-    try {
-        codec::Reader r(payload);
-        if (r.str(16) != kTrimMagic) return std::nullopt;
-        const Height h = r.u64();
-        r.expect_done();
-        return h;
-    } catch (const codec::DecodeError&) {
+    // Every logged request is probed, so this must not throw: it accepts
+    // exactly what `str(16) == magic, u64(), expect_done()` accepts, a
+    // non-minimal length varint included.
+    codec::Reader r(payload);
+    const auto magic = r.try_bytes_view(16);
+    if (!magic || r.remaining() != sizeof(Height) ||
+        !std::equal(magic->begin(), magic->end(), kTrimMagic.begin(), kTrimMagic.end())) {
         return std::nullopt;
     }
+    return r.u64();
 }
 
 void ChainApp::log(const pbft::Request& request, NodeId origin, SeqNo seq) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "chain/block.hpp"
+#include "chain/merkle.hpp"
 #include "common/rng.hpp"
 
 namespace zc::chain {
@@ -106,6 +107,23 @@ TEST(LoggedRequest, DigestBindsAllFields) {
     LoggedRequest r3 = r;
     r3.seq = 9;
     EXPECT_NE(r3.digest(), d0);
+}
+
+TEST(LoggedRequest, StreamedDigestEqualsLeafOfEncoding) {
+    // The leaf is hashed as the fields are produced; it must equal the
+    // leaf of the encoded request across the varint-width (127/128,
+    // 16383/16384) and SHA-256 block (54-56, 63/64) boundaries.
+    Rng rng(31);
+    for (const std::size_t len : {0, 1, 54, 55, 56, 63, 64, 127, 128, 16383, 16384}) {
+        LoggedRequest r;
+        r.payload = rng.bytes(len);
+        r.origin = 3;
+        r.seq = 0x0102030405060708ull;
+        r.origin_seq = ~0ull;
+        const Bytes sig = rng.bytes(64);
+        std::copy(sig.begin(), sig.end(), r.sig.v.begin());
+        EXPECT_EQ(r.digest(), merkle_leaf(codec::encode_to_bytes(r))) << len;
+    }
 }
 
 }  // namespace

@@ -44,5 +44,40 @@ TEST(HmacSha256, EmptyKeyAndMessageDeterministic) {
     EXPECT_EQ(hmac_sha256({}, {}), hmac_sha256({}, {}));
 }
 
+// RFC 4231 cases 1-4, 6 and 7 (case 5 is a truncated MAC) through a key
+// whose pads are absorbed once; cases 6 and 7 hash their 131-byte key.
+TEST(HmacKey, Rfc4231) {
+    struct Case {
+        Bytes key;
+        Bytes message;
+        const char* mac;
+    };
+    Bytes key4;
+    for (std::uint8_t b = 1; b <= 25; ++b) key4.push_back(b);
+    const Case cases[] = {
+        {Bytes(20, 0x0b), to_bytes("Hi There"),
+         "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+        {to_bytes("Jefe"), to_bytes("what do ya want for nothing?"),
+         "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+        {Bytes(20, 0xaa), Bytes(50, 0xdd),
+         "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+        {key4, Bytes(50, 0xcd),
+         "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+        {Bytes(131, 0xaa), to_bytes("Test Using Larger Than Block-Size Key - Hash Key First"),
+         "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+        {Bytes(131, 0xaa),
+         to_bytes("This is a test using a larger than block-size key and a larger than "
+                  "block-size data. The key needs to be hashed before being used by the "
+                  "HMAC algorithm."),
+         "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+    };
+    for (const Case& c : cases) {
+        const HmacKey key(c.key);
+        EXPECT_EQ(hex(key.mac(c.message)), c.mac);
+        EXPECT_EQ(hex(key.mac(c.message)), c.mac);  // the cached pads are not consumed
+        EXPECT_EQ(hex(hmac_sha256(c.key, c.message)), c.mac);
+    }
+}
+
 }  // namespace
 }  // namespace zc::crypto
