@@ -14,7 +14,10 @@ std::atomic<LogLevel> g_threshold{LogLevel::kOff};
 std::once_flag g_init_once;
 
 std::atomic<bool> g_hook_installed{false};
-LogHook g_hook;  // written only while g_hook_installed is false
+// Serialises hook calls (a fleet's trains log from worker threads) and
+// guards g_hook against a swap during a call.
+std::mutex g_hook_mu;
+LogHook g_hook;
 
 LogLevel parse_level(const char* s) {
     const std::string v = s ? s : "";
@@ -53,9 +56,9 @@ void set_log_level(LogLevel level) noexcept {
 }
 
 void set_log_hook(LogHook hook) {
-    g_hook_installed.store(false, std::memory_order_release);
+    const std::lock_guard<std::mutex> lock(g_hook_mu);
     g_hook = std::move(hook);
-    if (g_hook) g_hook_installed.store(true, std::memory_order_release);
+    g_hook_installed.store(static_cast<bool>(g_hook), std::memory_order_release);
 }
 
 namespace log_detail {
@@ -74,7 +77,8 @@ void emit(LogLevel level, std::string_view component, std::string_view msg) {
 bool hook_installed() noexcept { return g_hook_installed.load(std::memory_order_acquire); }
 
 void notify_hook(LogLevel level, std::string_view component, std::string_view msg) {
-    if (hook_installed()) g_hook(level, component, msg);
+    const std::lock_guard<std::mutex> lock(g_hook_mu);
+    if (g_hook) g_hook(level, component, msg);
 }
 
 }  // namespace log_detail

@@ -76,23 +76,31 @@ Digest verify_cache_key(const char* provider_name, const PublicKey& pub, BytesVi
 
 bool VerifyCache::lookup(const Digest& key, bool& ok) const noexcept {
     if (!enabled_) return false;
-    const Slot& slot = slots_[slot_of(key)];
-    if (!slot.used || slot.key != key) {
-        ++misses_;
-        return false;
+    const Slot* set = &slots_[set_of(bits_of(key))];
+    for (std::size_t w = 0; w < kWays; ++w) {
+        if (set[w].used && set[w].key == key) {
+            ++hits_;
+            ok = set[w].ok;
+            return true;
+        }
     }
-    ++hits_;
-    ok = slot.ok;
-    return true;
+    ++misses_;
+    return false;
 }
 
 void VerifyCache::insert(const Digest& key, bool ok) {
     if (!enabled_) return;
-    Slot& slot = slots_[slot_of(key)];
-    if (slot.used && slot.key == key) return;
-    slot.key = key;
-    slot.ok = ok;
-    slot.used = true;
+    const std::uint64_t bits = bits_of(key);
+    Slot* set = &slots_[set_of(bits)];
+    Slot* target = nullptr;
+    for (std::size_t w = 0; w < kWays; ++w) {
+        if (set[w].used && set[w].key == key) return;
+        if (!set[w].used && target == nullptr) target = &set[w];
+    }
+    if (target == nullptr) target = &set[(bits >> 32) & (kWays - 1)];
+    target->key = key;
+    target->ok = ok;
+    target->used = true;
     ++inserts_;
 }
 
@@ -104,7 +112,7 @@ void VerifyCache::clear() {
 }
 
 VerifyCache& global_verify_cache() noexcept {
-    static VerifyCache cache;
+    thread_local VerifyCache cache;
     return cache;
 }
 

@@ -1,4 +1,4 @@
-// Process-wide cache of completed signature verifications.
+// Per-thread cache of completed signature verifications.
 //
 // The verification of a (public key, message, signature) triple is a pure
 // function: the same inputs always produce the same boolean, for both
@@ -21,8 +21,15 @@
 // has to keep honest traffic collision-free (the key identifies a triple;
 // the equality classes that drive charging are the triples themselves),
 // and 128+ effective bits leave astronomical margin at simulation
-// volumes. Capacity is bounded by direct-mapped replacement; an evicted
-// entry just means one redundant provider call.
+// volumes. Capacity is bounded by 4-way set-associative replacement; an
+// evicted entry just means one redundant provider call.
+//
+// Each thread has its own table, built on the thread's first verify: a
+// fleet's trains verify on worker threads (fleet::Fleet), and a table
+// shared between them would need a lock on every verification. The
+// replicas that re-verify the same triple belong to one train, which
+// runs on one thread per window and mostly on the same thread across
+// windows, so a private table loses little.
 #pragma once
 
 #include <cstdint>
@@ -40,20 +47,21 @@ namespace zc::crypto {
 Digest verify_cache_key(const char* provider_name, const PublicKey& pub, BytesView message,
                         const Signature& sig) noexcept;
 
-/// Bounded map Digest -> bool: a fixed direct-mapped slot array (no
-/// allocation on the hot path, one probe per operation — this sits on
-/// every verification the simulator performs). Single-threaded, like the
-/// event loop that calls it.
+/// Bounded map Digest -> bool: a fixed slot array in sets of kWays (no
+/// allocation on the hot path, one set probed per operation — this sits on
+/// every verification the simulator performs). Single-threaded: one per
+/// thread.
 class VerifyCache {
 public:
-    static constexpr std::size_t kSlots = 16 * 8192;  // power of two; ~4.5 MiB
+    static constexpr std::size_t kSlots = 4096;  // power of two; ~136 KiB
+    static constexpr std::size_t kWays = 4;
 
     /// Returns true and sets `ok` if the triple's verdict is cached.
     bool lookup(const Digest& key, bool& ok) const noexcept;
 
-    /// Records a verdict (idempotent). A different key mapping to the same
-    /// slot replaces the occupant: lossy is fine for a cache, the evictee
-    /// just pays one provider call.
+    /// Records a verdict (idempotent). A key whose set is full replaces
+    /// one occupant (chosen by key bits): lossy is fine for a cache, the
+    /// evictee just pays one provider call.
     void insert(const Digest& key, bool ok);
 
     /// Master switch (tests / A-B measurement). Disabled lookups miss and
@@ -76,10 +84,14 @@ private:
         bool used = false;
     };
 
-    static std::size_t slot_of(const Digest& key) noexcept {
+    static std::uint64_t bits_of(const Digest& key) noexcept {
         std::uint64_t h;
         std::memcpy(&h, key.data() + 8, sizeof h);
-        return static_cast<std::size_t>(h) & (kSlots - 1);
+        return h;
+    }
+    /// First slot of the key's set.
+    static std::size_t set_of(std::uint64_t bits) noexcept {
+        return static_cast<std::size_t>(bits) & (kSlots - kWays);
     }
 
     std::vector<Slot> slots_ = std::vector<Slot>(kSlots);
@@ -89,7 +101,8 @@ private:
     std::uint64_t inserts_ = 0;
 };
 
-/// The process-global instance shared by every CryptoContext.
+/// The calling thread's instance, shared by every CryptoContext that
+/// verifies on this thread (built on first use).
 VerifyCache& global_verify_cache() noexcept;
 
 }  // namespace zc::crypto

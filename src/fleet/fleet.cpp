@@ -1,7 +1,9 @@
 #include "fleet/fleet.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <thread>
 
 #include "common/log.hpp"
 #include "prof/prof.hpp"
@@ -45,14 +47,53 @@ Fleet::Fleet(FleetConfig config)
     build();
 }
 
+unsigned Fleet::pool_size(std::uint32_t jobs, std::uint32_t trains, unsigned hardware) noexcept {
+    const std::uint32_t want = jobs == 0 ? std::max(hardware, 1u) : jobs;
+    return static_cast<unsigned>(std::max<std::uint32_t>(std::min(want, trains), 1));
+}
+
 void Fleet::build() {
     ZC_PROF_SCOPE(kSetup);
     sim_.set_profiler(prof::Profiler::active());
     const runtime::ScenarioConfig& tmpl = config_.train;
 
+    // One queue per train unless the fleet is a single consist. Traced
+    // or profiled fleets keep to the calling thread.
+    if (config_.trains > 1) {
+        static const unsigned hardware = std::thread::hardware_concurrency();  // a syscall
+        const bool serial = config_.trace_sink != nullptr || sim_.profiler() != nullptr;
+        workers_ = serial ? 1 : pool_size(config_.jobs, config_.trains, hardware);
+        if (config_.dc_count > 0) {
+            // Window bound: LTE's one-way latency, shrunk by the strongest
+            // latency ramp any train's plan puts on a node's egress (its
+            // sends to the DCs included). A hair below the exact product,
+            // so the ramp's float interpolation can never undercut it.
+            double scale = 1.0;
+            for (const auto& [t, plan] : config_.faults.trains) {
+                for (const auto& r : plan.egress_ramps) {
+                    scale = std::min(scale, r.latency_scale_end);
+                }
+            }
+            const double ns = std::floor(static_cast<double>(tmpl.lte_link.latency.count()) *
+                                         std::max(scale, 0.0) * (1.0 - 1e-9));
+            lookahead_ = Duration{static_cast<Duration::rep>(ns)};
+            if (lookahead_ <= Duration::zero()) {
+                throw std::invalid_argument(
+                    "fleet of several trains needs a train->DC latency above zero (the "
+                    "lookahead between the trains' queues and the data centers')");
+            }
+        }
+    }
+
     // Shards, in train order (construction order is part of the replay).
     for (TrainId t = 0; t < config_.trains; ++t) {
-        networks_.push_back(std::make_unique<net::Network>(sim_));
+        sim::Simulation* queue = &sim_;
+        if (config_.trains > 1) {
+            queues_.push_back(std::make_unique<sim::Simulation>(sim_, t + 1));
+            queue = queues_.back().get();
+            queue->set_profiler(sim_.profiler());
+        }
+        networks_.push_back(std::make_unique<net::Network>(*queue));
 
         runtime::ScenarioConfig cfg = tmpl;
         cfg.seed = config_.seed;
@@ -88,7 +129,7 @@ void Fleet::build() {
         }
 
         runtime::ShardEnv env;
-        env.sim = &sim_;
+        env.sim = queue;
         env.net = networks_.back().get();
         env.provider = provider_.get();
         shards_.push_back(std::make_unique<runtime::TrainShard>(std::move(cfg), env));
@@ -237,6 +278,49 @@ void Fleet::sample_tick() {
     sim_.schedule(config_.sample_period, [this] { sample_tick(); });
 }
 
+void Fleet::for_each_train(const std::function<void(TrainId)>& fn) {
+    if (workers_ == 1) {
+        for (TrainId t = 0; t < config_.trains; ++t) fn(t);
+        return;
+    }
+    if (!pool_) pool_ = std::make_unique<WorkerPool>(workers_, config_.trains);
+    pool_->run(fn);
+}
+
+void Fleet::advance_to(TimePoint horizon) {
+    if (queues_.empty()) {
+        sim_.run_until(horizon);
+        return;
+    }
+    // Sim progress is accounted once for the whole call, as a lone
+    // queue's run_until does.
+    prof::Profiler* const prof = sim_.profiler();
+    const std::uint64_t wall0 = prof != nullptr ? prof->clock_now() : 0;
+    const TimePoint virt0 = sim_.now();
+    if (prof != nullptr) prof->begin(prof::Subsystem::kEventLoop);
+
+    for (;;) {
+        TimePoint barrier = horizon - sim_.now() > lookahead_ ? sim_.now() + lookahead_ : horizon;
+        if (const auto next = sim_.next_time(); next && *next < barrier) barrier = *next;
+        for_each_train([this, barrier](TrainId t) { queues_[t]->drain_until(barrier); });
+        for (auto& net : networks_) net->flush_outbox(barrier);
+        sim_.drain_until(barrier);
+        if (barrier >= horizon) break;
+    }
+
+    if (prof != nullptr) {
+        prof->end();
+        prof->add_sim_progress((sim_.now() - virt0).count(), prof->clock_now() - wall0);
+    }
+}
+
+std::size_t Fleet::pending_events() const noexcept {
+    std::size_t n = sim_.pending_events();
+    for (const auto& q : queues_) n += q->pending_events();
+    for (const auto& net : networks_) n += net->outbox_size();
+    return n;
+}
+
 void Fleet::audit_shard(TrainId train) {
     ZC_PROF_SCOPE(kAudit);
     std::vector<faults::ReplicaView> replicas = shards_[train]->replica_views();
@@ -253,16 +337,17 @@ void Fleet::audit_shard(TrainId train) {
 }
 
 std::uint64_t Fleet::run_audit() {
+    if (auditors_.empty()) return 0;
+    for_each_train([this](TrainId t) { audit_shard(t); });
     std::uint64_t violations = 0;
-    for (TrainId t = 0; t < auditors_.size(); ++t) {
-        audit_shard(t);
-        violations += auditors_[t]->report().violations.size();
-    }
+    for (const faults::SafetyAuditor* a : auditors_) violations += a->report().violations.size();
     return violations;
 }
 
 void Fleet::audit_tick() {
-    for (TrainId t = 0; t < config_.trains; ++t) audit_shard(t);
+    // Each pass reads only its own shard and the DCs' cores for that
+    // train, so the passes run on the pool while the trains are paused.
+    for_each_train([this](TrainId t) { audit_shard(t); });
     sim_.schedule(config_.train.audit_period, [this] { audit_tick(); });
 }
 
@@ -284,13 +369,13 @@ void Fleet::liveness_tick() {
 }
 
 void Fleet::run() {
-    sim_.run_until(config_.warmup + config_.duration);
+    advance_to(config_.warmup + config_.duration);
     stop_sampling_ = true;
     for (auto& dc : dcs_) dc->observe_all();
     run_audit();
 }
 
-void Fleet::run_for(Duration d) { sim_.run_until(sim_.now() + d); }
+void Fleet::run_for(Duration d) { advance_to(sim_.now() + d); }
 
 const health::HealthMonitor* Fleet::monitor(TrainId t) const {
     return monitors_.empty() ? nullptr : monitors_.at(t).get();

@@ -6,8 +6,23 @@
 // cluster, MVB bus, ATP generator, durable chains) with its *own*
 // net::Network — trains never talk to each other, so the per-shard
 // endpoint plan (replicas 0..n-1, DCs at 100+d) needs no renumbering.
-// All networks run on the single shared sim::Simulation: one event queue,
-// one seed, one deterministic interleaving of the whole timetable.
+//
+// Train-parallel event queues: in a fleet of more than one train every
+// shard schedules on its own sim::Simulation, and the fleet's queue
+// (sim()) holds the data centers, their ingest executors, the fleet's
+// ticks and whatever a harness schedules. Trains couple only through the
+// DCs, across an LTE uplink whose one-way latency is a lookahead: the
+// window loop (run/run_for) advances every train to a barrier at most
+// that far ahead — and never past the next fleet-queue event — on a
+// small worker pool, flushes the train->DC messages buffered meanwhile
+// into the fleet queue, then runs the fleet queue to the barrier on the
+// calling thread. Fleet-queue events therefore see every train paused,
+// after all train events at or before their time. Events order by
+// (time, origin queue, origin's own counter), so the output depends on
+// neither the worker count nor where the barriers fall. A one-train
+// fleet keeps one queue and never enters the window loop, which keeps
+// it the single consist byte for byte. A traced or profiled fleet runs
+// the same windows on the calling thread.
 //
 // Shared infrastructure crossing shard boundaries:
 //   * FleetDataCenter (one per company, the only data-center host): a
@@ -21,15 +36,17 @@
 //
 // Determinism strategy: construction order is fixed (shards in train
 // order, each with its network, node keys and DC keys; then DCs in id
-// order adding shards in train order). Every shard forks its rng streams
-// with the same unlabelled names a single consist uses; fork() itself
-// advances the parent stream, so the shards still draw decorrelated
-// streams, and train 0 draws exactly the streams of the single consist
+// order adding shards in train order). Per-train queues draw from the
+// fleet root, and every shard forks its rng streams with the same
+// unlabelled names a single consist uses; fork() itself advances the
+// parent stream, so the shards still draw decorrelated streams, and
+// train 0 draws exactly the streams of the single consist
 // built from the same seed (with no DCs, train 0's chains are that
 // consist's chains). Same seed -> byte-identical reports, rollups and
 // stores.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -37,6 +54,7 @@
 #include "fleet/chaos.hpp"
 #include "fleet/fleet_dc.hpp"
 #include "fleet/rollup.hpp"
+#include "fleet/worker_pool.hpp"
 #include "health/monitor.hpp"
 #include "runtime/scenario.hpp"
 #include "trace/trace.hpp"
@@ -106,6 +124,14 @@ struct FleetConfig {
     FleetFaults faults;
 
     trace::TraceSink* trace_sink = nullptr;
+
+    /// Worker threads advancing the trains' queues, counting the calling
+    /// thread: 0 = min(trains, hardware threads); any value is clamped to
+    /// the train count. Threads start on the first run, run_for or audit
+    /// pass, never in the constructor. A fleet with a trace sink or an
+    /// active prof::Profiler runs on the calling thread. The output does
+    /// not depend on this.
+    std::uint32_t jobs = 0;
 };
 
 /// Merged-trace pid plan: every train shard gets a disjoint 1000-wide pid
@@ -164,6 +190,23 @@ public:
     /// Continues the simulation for ad-hoc experiment logic.
     void run_for(Duration d);
 
+    /// The worker count run/run_for use: 1 when traced or profiled,
+    /// else pool_size(config.jobs, trains, hardware threads).
+    unsigned workers() const noexcept { return workers_; }
+    static unsigned pool_size(std::uint32_t jobs, std::uint32_t trains,
+                              unsigned hardware) noexcept;
+
+    /// Window bound: the least one-way train->DC latency any train's
+    /// uplink can reach (Duration::max() when there is no DC).
+    Duration lookahead() const noexcept { return lookahead_; }
+    /// Test-only: widens (or narrows) the window bound, so a test can
+    /// prove that a delivery inside a window throws instead of landing
+    /// out of order.
+    void override_lookahead(Duration l) noexcept { lookahead_ = l; }
+
+    /// Pending events on every queue, buffered deliveries included.
+    std::size_t pending_events() const noexcept;
+
     FleetReport report();
 
     /// One audit pass over every shard (no-op unless auditing is on).
@@ -181,11 +224,20 @@ public:
     const faults::SafetyAuditor* auditor(TrainId t) const {
         return auditors_.empty() ? nullptr : auditors_.at(t);
     }
+    /// The fleet queue (DCs, fleet ticks, harness events). In a one-train
+    /// fleet it is also the train's queue. Advance a fleet of several
+    /// trains with run/run_for: running this queue alone leaves the
+    /// trains behind.
     sim::Simulation& sim() noexcept { return sim_; }
     const FleetConfig& config() const noexcept { return config_; }
 
 private:
     void build();
+    /// The window loop: advances every queue to `horizon`.
+    void advance_to(TimePoint horizon);
+    /// fn(t) for every train on the pool (train t offered to worker
+    /// t mod workers() first).
+    void for_each_train(const std::function<void(TrainId)>& fn);
     void export_tick(TrainId train);
     void sample_tick();
     void audit_tick();
@@ -194,6 +246,10 @@ private:
 
     FleetConfig config_;
     sim::Simulation sim_;
+    /// One queue per train in a multi-train fleet (empty for one train).
+    std::vector<std::unique_ptr<sim::Simulation>> queues_;
+    Duration lookahead_ = Duration::max();
+    unsigned workers_ = 1;
     std::unique_ptr<crypto::CryptoProvider> provider_;
     std::vector<std::unique_ptr<net::Network>> networks_;
     std::vector<std::unique_ptr<trace::OffsetSink>> shard_sinks_;
@@ -207,6 +263,7 @@ private:
     std::vector<std::unique_ptr<health::HealthMonitor>> monitors_;
     FleetRollup rollup_;
     bool stop_sampling_ = false;
+    std::unique_ptr<WorkerPool> pool_;  ///< made on the first parallel pass
 };
 
 }  // namespace zc::fleet

@@ -135,7 +135,9 @@ void FleetDataCenter::add_shard(TrainId train, runtime::TrainShard& shard) {
         throw std::invalid_argument("fleet dc shards must be added in train order");
     }
     rigs_.push_back(std::make_unique<ShardRig>(*this, train, shard));
-    shard.network().attach(kDcEndpointBase + id(), rigs_.back().get());
+    // The port runs on this DC's queue (the fleet's), whichever queue the
+    // shard's replicas run on.
+    shard.network().attach(kDcEndpointBase + id(), rigs_.back().get(), &sim_);
     // Archive growth is indexed as exports complete (plus the periodic
     // observe_all sweep for sync-adopted blocks).
     exporter::DataCenter* core = rigs_.back()->core.get();

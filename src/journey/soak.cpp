@@ -265,7 +265,7 @@ SoakReport run_soak(const SoakOptions& options) {
             p.logged += lg;
             p.blocks += bl;
         }
-        p.pending = fl.sim().pending_events();
+        p.pending = fl.pending_events();
         for (std::uint32_t d = 0; d < fl.dc_count(); ++d) {
             p.dc_depth += fl.data_center(d).ingest_queue_depth();
         }

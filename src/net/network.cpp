@@ -9,9 +9,28 @@ namespace zc::net {
 
 Network::Network(sim::Simulation& sim) : sim_(sim), rng_(sim.rng().fork("network")) {}
 
-void Network::attach(EndpointId id, Endpoint* endpoint) {
+void Network::attach(EndpointId id, Endpoint* endpoint, sim::Simulation* queue) {
     if (endpoint == nullptr) throw std::invalid_argument("null endpoint");
-    endpoints_[id] = endpoint;
+    if (queue == nullptr) queue = &sim_;
+    if (queue != &sim_) cross_queue_ = true;
+    endpoints_[id] = Attached{endpoint, queue};
+}
+
+sim::Simulation& Network::queue_of(EndpointId id) const {
+    const auto it = endpoints_.find(id);
+    return it != endpoints_.end() ? *it->second.queue : sim_;
+}
+
+void Network::flush_outbox(TimePoint barrier) {
+    for (Buffered& b : outbox_) {
+        if (b.at <= barrier) {
+            outbox_.clear();
+            throw std::logic_error("network: a cross-queue delivery is due before the barrier "
+                                   "it was buffered for (lookahead violated)");
+        }
+        b.queue->schedule_keyed(b.at, b.key, std::move(b.fn));
+    }
+    outbox_.clear();
 }
 
 void Network::set_profile(EndpointId from, EndpointId to, const LinkProfile& profile) {
@@ -77,8 +96,8 @@ void Network::drop(TrafficStats& side, DropCause cause) {
 
 void Network::deliver_copy(EndpointId from, EndpointId to, TimePoint arrival, Bytes message,
                            std::size_t wire_bytes, bool corrupted) {
-    sim_.schedule_at(arrival,
-                     [this, from, to, msg = std::move(message), wire_bytes, corrupted]() mutable {
+    auto deliver = [this, from, to, msg = std::move(message), wire_bytes,
+                    corrupted]() mutable {
         const auto it = endpoints_.find(to);
         if (it == endpoints_.end()) {
             ZC_DEBUG("net", "message to unknown endpoint {} dropped", to);
@@ -97,8 +116,21 @@ void Network::deliver_copy(EndpointId from, EndpointId to, TimePoint arrival, By
         }
         receiver.bytes_received += wire_bytes;
         receiver.messages_received += 1;
-        it->second->deliver(from, std::move(msg));
-    });
+        it->second.endpoint->deliver(from, std::move(msg));
+    };
+    if (!cross_queue_) {
+        sim_.schedule_at(arrival, std::move(deliver));
+        return;
+    }
+    sim::Simulation& src = queue_of(from);
+    sim::Simulation& dst = queue_of(to);
+    if (&src == &dst) {
+        dst.schedule_at(arrival, std::move(deliver));
+    } else if (&src == &sim_) {
+        outbox_.push_back(Buffered{&dst, arrival, src.next_key(), std::move(deliver)});
+    } else {
+        dst.schedule_keyed(arrival, src.next_key(), std::move(deliver));
+    }
 }
 
 void Network::send(EndpointId from, EndpointId to, Bytes message) {

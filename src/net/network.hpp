@@ -19,12 +19,22 @@
 // delivery is asynchronous with bounded (but load-dependent) delay; the
 // protocol layers never rely on timing for safety. All randomness comes
 // from the simulation RNG fork "network", so same seed => same behavior.
+//
+// Endpoints may live on different event queues (a train's replicas on
+// the train's queue, data-center ports on the fleet's; see fleet::Fleet).
+// A delivery is scheduled on the receiver's queue, keyed by the sender's
+// queue. The network's own queue is the train side. Its sends to another
+// queue happen while that side waits for the next barrier, so they wait
+// in an outbox until the fleet flushes it there. Sends from another
+// queue happen at a barrier, while the train is paused, and go straight
+// onto the receiver's queue. With one queue nothing is buffered.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <set>
 #include <unordered_map>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
@@ -118,7 +128,9 @@ public:
     explicit Network(sim::Simulation& sim);
 
     /// Registers an endpoint. The pointer must outlive the network.
-    void attach(EndpointId id, Endpoint* endpoint);
+    /// `queue` is the event queue the endpoint runs on (its deliveries
+    /// are scheduled there); null means the network's own.
+    void attach(EndpointId id, Endpoint* endpoint, sim::Simulation* queue = nullptr);
 
     /// Profile applied to links without a specific override.
     void set_default_profile(const LinkProfile& profile) { default_profile_ = profile; }
@@ -159,6 +171,14 @@ public:
     /// Sum of payload+framing bytes sent by all endpoints.
     std::uint64_t total_bytes_sent() const noexcept { return total_bytes_sent_; }
 
+    /// Schedules the buffered deliveries from this network's queue to
+    /// other queues, at the barrier `barrier` the other side is about to
+    /// run to. A delivery due at or before it would have been missed:
+    /// that breaks the lookahead the caller promised, so this throws
+    /// std::logic_error instead of delivering it out of order.
+    void flush_outbox(TimePoint barrier);
+    std::size_t outbox_size() const noexcept { return outbox_.size(); }
+
     /// Egress utilization of an endpoint over (since, now] against the
     /// given capacity, in [0, 1].
     double egress_utilization(EndpointId id, TimePoint since, std::uint64_t bytes_at_since,
@@ -168,6 +188,18 @@ public:
     LinkProfile effective_profile(EndpointId from, EndpointId to) const;
 
 private:
+    struct Attached {
+        Endpoint* endpoint = nullptr;
+        sim::Simulation* queue = nullptr;
+    };
+    struct Buffered {
+        sim::Simulation* queue;
+        TimePoint at;
+        sim::EventId key;
+        std::function<void()> fn;
+    };
+
+    sim::Simulation& queue_of(EndpointId id) const;
     const LinkProfile& profile_for(EndpointId from, EndpointId to) const;
     void apply_ramp(LinkProfile& p, const LinkRamp& ramp) const;
     void drop(TrafficStats& side, DropCause cause);
@@ -177,7 +209,9 @@ private:
     sim::Simulation& sim_;
     Rng rng_;
     LinkProfile default_profile_{};
-    std::unordered_map<EndpointId, Endpoint*> endpoints_;
+    std::unordered_map<EndpointId, Attached> endpoints_;
+    bool cross_queue_ = false;  ///< some endpoint lives on another queue
+    std::vector<Buffered> outbox_;
     std::map<std::pair<EndpointId, EndpointId>, LinkProfile> overrides_;
     std::map<std::pair<EndpointId, EndpointId>, LinkRamp> ramps_;
     std::map<EndpointId, LinkRamp> egress_ramps_;

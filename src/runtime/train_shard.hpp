@@ -6,12 +6,12 @@
 // plan (runtime/fault_plan.hpp): crashes, restarts, link flaps, egress
 // ramps, rate windows and CPU profiles all run here.
 //
-// fleet::Fleet composes one TrainShard per train on one shared virtual
-// clock — each shard gets its own net::Network (trains do not talk to
-// each other) while all shards share the simulation, so a 100-train
-// timetable is still one deterministic event sequence. runtime::Scenario
-// (the paper's single-consist testbed) is a one-train Fleet plus the
-// measurement window.
+// fleet::Fleet composes one TrainShard per train on one virtual clock —
+// each shard gets its own net::Network (trains do not talk to each
+// other) and, in a fleet of several trains, its own event queue, which
+// the fleet advances in lock-step with the data centers' (see
+// fleet/fleet.hpp). runtime::Scenario (the paper's single-consist
+// testbed) is a one-train Fleet plus the measurement window.
 #pragma once
 
 #include <memory>
@@ -27,10 +27,13 @@ namespace zc::runtime {
 
 struct ScenarioConfig;  // defined in runtime/scenario.hpp
 
-/// The substrate one shard plugs into. In a fleet every shard shares the
-/// simulation (one virtual clock) but owns its network. Shards fork their
-/// rng streams with the same labels; Rng::fork advances the parent
-/// stream, so each shard still draws decorrelated streams.
+/// The substrate one shard plugs into: the queue everything on the train
+/// schedules on (the fleet's own for a one-train fleet, a peer queue of
+/// it otherwise), the shard's network and the shared provider. Peer
+/// queues draw from the fleet's root stream, so shards fork their rng
+/// streams with the same labels in construction order; Rng::fork
+/// advances the parent stream, so each shard still draws decorrelated
+/// streams.
 struct ShardEnv {
     sim::Simulation* sim = nullptr;
     net::Network* net = nullptr;

@@ -1,8 +1,18 @@
 #include "sim/simulation.hpp"
 
+#include <stdexcept>
+
 namespace zc::sim {
 
-Simulation::Simulation(std::uint64_t seed) : rng_(seed) {}
+Simulation::Simulation(std::uint64_t seed) : own_rng_(seed) {}
+
+Simulation::Simulation(Simulation& root, std::uint32_t origin)
+    : next_key_((static_cast<EventId>(origin) << kOriginShift) | 1), own_rng_(0),
+      rng_(root.rng_) {
+    if (origin == 0 || origin >= (1u << (64 - kOriginShift))) {
+        throw std::invalid_argument("peer queue origin must be in [1, 65535]");
+    }
+}
 
 EventId Simulation::schedule(Duration delay, std::function<void()> fn) {
     if (delay < Duration::zero()) delay = Duration::zero();
@@ -10,11 +20,15 @@ EventId Simulation::schedule(Duration delay, std::function<void()> fn) {
 }
 
 EventId Simulation::schedule_at(TimePoint when, std::function<void()> fn) {
-    if (when < now_) when = now_;
-    const EventId id = next_seq_++;
-    queue_.push(QueueEntry{when, id, id});
-    handlers_.emplace(id, std::move(fn));
+    const EventId id = next_key_++;
+    schedule_keyed(when, id, std::move(fn));
     return id;
+}
+
+void Simulation::schedule_keyed(TimePoint when, EventId key, std::function<void()> fn) {
+    if (when < now_) when = now_;
+    queue_.push(QueueEntry{when, key});
+    handlers_.emplace(key, std::move(fn));
 }
 
 void Simulation::cancel(EventId id) noexcept { handlers_.erase(id); }
@@ -25,7 +39,7 @@ bool Simulation::step() {
     while (!queue_.empty()) {
         const QueueEntry entry = queue_.top();
         queue_.pop();
-        auto it = handlers_.find(entry.id);
+        auto it = handlers_.find(entry.key);
         if (it == handlers_.end()) continue;  // cancelled
         now_ = entry.at;
         // Move the handler out before erasing: the handler may schedule or
@@ -43,6 +57,28 @@ bool Simulation::step() {
     return false;
 }
 
+std::optional<TimePoint> Simulation::next_time() noexcept {
+    while (!queue_.empty()) {
+        const QueueEntry& entry = queue_.top();
+        if (handlers_.contains(entry.key)) return entry.at;
+        queue_.pop();  // cancelled
+    }
+    return std::nullopt;
+}
+
+void Simulation::drain_until(TimePoint t) {
+    while (!queue_.empty()) {
+        const QueueEntry& entry = queue_.top();
+        if (!handlers_.contains(entry.key)) {
+            queue_.pop();
+            continue;
+        }
+        if (entry.at > t) break;
+        step();
+    }
+    if (now_ < t) now_ = t;
+}
+
 void Simulation::run_until(TimePoint t) {
     // Sim-progress accounting brackets the whole loop: virtual time
     // advanced over host time spent, the sim_rate numerator/denominator.
@@ -51,16 +87,7 @@ void Simulation::run_until(TimePoint t) {
     const TimePoint virt0 = now_;
     if (prof != nullptr) prof->begin(prof::Subsystem::kEventLoop);
 
-    while (!queue_.empty()) {
-        const QueueEntry& entry = queue_.top();
-        if (!handlers_.contains(entry.id)) {
-            queue_.pop();
-            continue;
-        }
-        if (entry.at > t) break;
-        step();
-    }
-    if (now_ < t) now_ = t;
+    drain_until(t);
 
     if (prof != nullptr) {
         prof->end();

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "net/network.hpp"
@@ -376,6 +377,53 @@ TEST_F(NetFixture, DeterministicAcrossRuns) {
     for (std::size_t i = 0; i < b.received.size(); ++i) {
         EXPECT_EQ(b.received[i].at, b2.received[i].at);
     }
+}
+
+// A train's network (its own queue) with a data-center port on the
+// fleet's queue: train->DC deliveries wait in the outbox until the
+// barrier flush; DC->train deliveries go straight onto the train queue.
+TEST(NetworkCrossQueue, BuffersHomeToForeignAndSchedulesForeignToHome) {
+    sim::Simulation fleet(7);
+    sim::Simulation train(fleet, 1);
+    Network net(train);
+    Recorder node(train), dc(fleet);
+    net.attach(0, &node);
+    net.attach(100, &dc, &fleet);
+    LinkProfile p;
+    p.latency = milliseconds(35);
+    p.jitter = Duration::zero();
+    net.set_default_profile(p);
+
+    net.send(0, 100, Bytes(10, 0x01));
+    EXPECT_EQ(net.outbox_size(), 1u);
+    EXPECT_EQ(fleet.pending_events(), 0u);
+    net.send(100, 0, Bytes(10, 0x02));
+    EXPECT_EQ(train.pending_events(), 1u) << "DC->train is scheduled directly";
+
+    train.drain_until(milliseconds(30));
+    net.flush_outbox(milliseconds(30));
+    EXPECT_EQ(net.outbox_size(), 0u);
+    fleet.drain_until(milliseconds(40));
+    train.drain_until(milliseconds(40));
+    ASSERT_EQ(dc.received.size(), 1u);
+    ASSERT_EQ(node.received.size(), 1u);
+    EXPECT_GT(dc.received[0].at, milliseconds(35));
+    EXPECT_GT(node.received[0].at, milliseconds(35));
+}
+
+TEST(NetworkCrossQueue, FlushRejectsADeliveryDueAtOrBeforeTheBarrier) {
+    sim::Simulation fleet(7);
+    sim::Simulation train(fleet, 1);
+    Network net(train);
+    Recorder node(train), dc(fleet);
+    net.attach(0, &node);
+    net.attach(100, &dc, &fleet);
+    LinkProfile p;
+    p.latency = milliseconds(5);
+    p.jitter = Duration::zero();
+    net.set_default_profile(p);
+    net.send(0, 100, Bytes(10, 0x01));
+    EXPECT_THROW(net.flush_outbox(milliseconds(35)), std::logic_error);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -111,6 +112,56 @@ TEST(Simulation, HandlerCanCancelLaterEvent) {
 TEST(Simulation, RngDeterministicBySeed) {
     Simulation a(99), b(99);
     EXPECT_EQ(a.rng().next(), b.rng().next());
+}
+
+TEST(Simulation, EqualTimesOrderByOriginThenTheOriginsOwnCounter) {
+    Simulation fleet;
+    Simulation train_a(fleet, 1), train_b(fleet, 2);
+    std::vector<int> order;
+    // Inserted out of key order: the origin decides, not insertion time.
+    const EventId b1 = train_b.next_key();
+    const EventId a1 = train_a.next_key();
+    const EventId a2 = train_a.next_key();
+    fleet.schedule_keyed(milliseconds(5), b1, [&] { order.push_back(21); });
+    fleet.schedule_keyed(milliseconds(5), a2, [&] { order.push_back(12); });
+    fleet.schedule_keyed(milliseconds(5), a1, [&] { order.push_back(11); });
+    fleet.schedule(milliseconds(5), [&] { order.push_back(0); });
+    fleet.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 11, 12, 21}));
+    EXPECT_EQ(a1 >> Simulation::kOriginShift, 1u);
+    EXPECT_EQ(b1 >> Simulation::kOriginShift, 2u);
+}
+
+TEST(Simulation, KeyedEventsCancelByTheirKey) {
+    Simulation fleet;
+    Simulation train(fleet, 1);
+    bool ran = false;
+    const EventId key = train.next_key();
+    fleet.schedule_keyed(milliseconds(1), key, [&] { ran = true; });
+    EXPECT_TRUE(fleet.pending(key));
+    fleet.cancel(key);
+    fleet.run();
+    EXPECT_FALSE(ran);
+}
+
+TEST(Simulation, PeerQueueDrawsFromTheRootStream) {
+    Simulation root(99), reference(99);
+    Simulation peer(root, 1);
+    EXPECT_EQ(peer.rng().next(), reference.rng().next());
+    EXPECT_EQ(root.rng().next(), reference.rng().next());
+    EXPECT_THROW(Simulation(root, 0), std::invalid_argument);
+}
+
+TEST(Simulation, NextTimeSkipsCancelledEventsAndDrainUntilAdvancesTheClock) {
+    Simulation sim;
+    EXPECT_FALSE(sim.next_time().has_value());
+    const EventId early = sim.schedule(milliseconds(1), [] {});
+    sim.schedule(milliseconds(3), [] {});
+    sim.cancel(early);
+    EXPECT_EQ(sim.next_time(), TimePoint{milliseconds(3)});
+    sim.drain_until(milliseconds(2));
+    EXPECT_EQ(sim.now(), milliseconds(2));
+    EXPECT_EQ(sim.pending_events(), 1u);
 }
 
 }  // namespace

@@ -29,7 +29,11 @@
 //
 //   zugchain_sim --fleet N [--fleet-dcs N] [--fleet-chaos]
 //                [--export-period-s S] [--trains-per-cell N]
-//                [--rollup FILE.csv|FILE.json]
+//                [--rollup FILE.csv|FILE.json] [--jobs N]
+//
+// --jobs N advances the trains on N worker threads (0, the default, is
+// one per hardware thread, at most one per train). The output does not
+// depend on it; --trace and --prof run on one thread.
 //
 // --prof attributes *host* wall-clock cost (crypto, codec, store, event
 // loop, DC ingest...) and reports the sim_rate (simulated seconds per
@@ -148,6 +152,7 @@ struct Args {
     std::uint32_t trains_per_cell = 8;
     std::string rollup_file;
     bool export_period_set = false;
+    std::uint32_t jobs = 0;
 
     // Soak mode (--soak HOURS > 0 switches to the segmented long-haul
     // runner; composes with --fleet and most workload flags).
@@ -176,7 +181,7 @@ struct Args {
                      "          [--health FILE] [--timeseries FILE] [--fail-on-alarm]\n"
                      "          [--fleet N] [--fleet-dcs N] [--fleet-chaos]\n"
                      "          [--export-period-s S] [--trains-per-cell N]\n"
-                     "          [--rollup FILE.csv|FILE.json]\n"
+                     "          [--rollup FILE.csv|FILE.json] [--jobs N]\n"
                      "          [--soak HOURS] [--journey SEED] [--soak-segment-s S]\n"
                      "          [--soak-recipes N] [--soak-day-s S]\n",
                      argv0);
@@ -339,6 +344,8 @@ struct Args {
                 args.fleet_dcs = static_cast<std::uint32_t>(std::atoi(need_value(i)));
             } else if (flag == "--fleet-chaos") {
                 args.fleet_chaos = true;
+            } else if (flag == "--jobs") {
+                args.jobs = static_cast<std::uint32_t>(std::strtoul(need_value(i), nullptr, 10));
             } else if (flag == "--export-period-s") {
                 args.export_period_s = std::atof(need_value(i));
                 args.export_period_set = true;
@@ -484,6 +491,7 @@ int run_fleet(const Args& args) {
     cfg.duration = args.cfg.duration;
     cfg.store_root = std::exchange(cfg.train.store_root, std::nullopt);
     cfg.audit = args.audit;
+    cfg.jobs = args.jobs;
     if (cfg.dc_count > 0) {
         cfg.train.delete_quorum = std::max<std::size_t>(
             1, std::min<std::size_t>(cfg.train.delete_quorum, cfg.dc_count));
@@ -691,6 +699,7 @@ constexpr struct {
     {"--trains-per-cell", kConsist | kSoak},
     {"--rollup", kConsist | kSoak},
     {"--export-period-s", kConsist},
+    {"--jobs", kConsist | kSoak},
     {"--journey", kConsist | kFleet},
     {"--soak-segment-s", kConsist | kFleet},
     {"--soak-recipes", kConsist | kFleet},
