@@ -451,4 +451,25 @@ std::vector<Block> BlockStore::range(Height from, Height to) const {
     return out;
 }
 
+std::vector<Fork> find_forks(const std::vector<const BlockStore*>& replicas) {
+    std::vector<Fork> forks;
+    for (std::size_t a = 0; a < replicas.size(); ++a) {
+        for (std::size_t b = a + 1; b < replicas.size(); ++b) {
+            const BlockStore& x = *replicas[a];
+            const BlockStore& y = *replicas[b];
+            const Height hi = std::min(x.head_height(), y.head_height());
+            for (Height h = std::max(x.base_height(), y.base_height()); h <= hi; ++h) {
+                const BlockHeader* hx = x.header(h);
+                const BlockHeader* hy = y.header(h);
+                if (hx != nullptr && hy != nullptr && hx->hash() != hy->hash()) {
+                    forks.push_back({h, a, b});
+                    break;
+                }
+            }
+        }
+    }
+    return forks;
+}
+
 }  // namespace zc::chain
+

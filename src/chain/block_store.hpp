@@ -187,4 +187,18 @@ private:
     trace::TraceContext trace_;
 };
 
+/// Two replicas of one shard that hold different headers at one height.
+struct Fork {
+    Height height = 0;  ///< the lowest height both retain where they differ
+    std::size_t a = 0;  ///< indices into the replicas given to find_forks
+    std::size_t b = 0;
+};
+
+/// The auditor's chain_fork rule, run offline over a shard's stores:
+/// compares the header hash at every height each pair of `replicas`
+/// retains (stores pruned to different bases meet where they overlap)
+/// and reports the lowest disagreeing height of each pair, pairs in
+/// index order.
+std::vector<Fork> find_forks(const std::vector<const BlockStore*>& replicas);
+
 }  // namespace zc::chain

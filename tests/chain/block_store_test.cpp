@@ -438,5 +438,55 @@ TEST(BlockStore, RebasePersistsAcrossReload) {
     std::filesystem::remove_all(dir);
 }
 
+// -- find_forks: the offline cross-replica check -------------------------------
+
+/// Appends one block at the next height built from `salt`'s requests: two
+/// stores given different salts at one height fork there.
+void extend_salted(BlockStore& store, std::uint64_t salt) {
+    const Height h = store.head_height() + 1;
+    store.append(Block::build(h, store.head_hash(), static_cast<std::int64_t>(h),
+                              make_requests(5, salt)));
+}
+
+TEST(ReplicaForks, StoresThatDivergeAtOneHeightAreFlagged) {
+    BlockStore a, b, c;
+    for (BlockStore* s : {&a, &b, &c}) extend(*s, 4);
+    extend_salted(a, 50);
+    extend_salted(b, 51);  // b forks at height 5
+    extend_salted(c, 50);
+    for (BlockStore* s : {&a, &b, &c}) extend(*s, 3);
+    ASSERT_TRUE(b.validate(0, b.head_height()));  // each store is sound alone
+
+    const auto forks = find_forks({&a, &b, &c});
+    ASSERT_EQ(forks.size(), 2u);
+    EXPECT_EQ(forks[0].height, 5u);
+    EXPECT_EQ(forks[0].a, 0u);
+    EXPECT_EQ(forks[0].b, 1u);
+    EXPECT_EQ(forks[1].height, 5u);
+    EXPECT_EQ(forks[1].a, 1u);
+    EXPECT_EQ(forks[1].b, 2u);
+
+    // Pruned above the fork, a still disagrees with b at its new base:
+    // the base header links to a different parent.
+    a.prune_to(7, to_bytes("delete-cert"));
+    const auto after_prune = find_forks({&a, &b});
+    ASSERT_EQ(after_prune.size(), 1u);
+    EXPECT_EQ(after_prune[0].height, 7u);
+}
+
+TEST(ReplicaForks, StoresPrunedToDifferentBasesAgree) {
+    BlockStore a, b, c;
+    for (BlockStore* s : {&a, &b, &c}) extend(*s, 10);
+    a.prune_to(6, to_bytes("c1"));
+    b.prune_to(3, to_bytes("c2"));
+    extend(c, 2);  // c runs ahead of the others
+    EXPECT_TRUE(find_forks({&a, &b, &c}).empty());
+
+    // Stores that share no height cannot disagree.
+    BlockStore d;
+    extend(d, 4);
+    EXPECT_TRUE(find_forks({&a, &d}).empty());
+}
+
 }  // namespace
 }  // namespace zc::chain

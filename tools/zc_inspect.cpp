@@ -19,9 +19,14 @@
 // DIR/train-<t>/node-<i>):
 //
 //   zc_inspect --store-dir DIR          per-train summary table, every
-//                                       shard store verified
+//                                       shard store verified and the
+//                                       shard's replicas cross-checked
 //   zc_inspect --store-dir DIR --verify strict: exit 0 only if every
-//                                       store is clean and validates
+//                                       store is clean and validates and
+//                                       no two replicas of a shard hold
+//                                       different headers at one height
+//                                       ("fork at height H: node-a vs
+//                                       node-b")
 //   zc_inspect --store-dir DIR --repair truncate torn tails in every
 //                                       store that has one
 //
@@ -271,7 +276,8 @@ std::string health_json(const HealthReadout& readout) {
 /// Fleet store root: DIR/train-<t>/node-<i> per shard replica (a root
 /// holding bare node-<i> directories is treated as one unnamed train).
 /// Verifies (and with `repair`, truncates) every store and prints one row
-/// per replica plus a per-train verdict.
+/// per replica, every fork between two of a shard's replicas
+/// (chain::find_forks), and a per-train verdict.
 int inspect_fleet_root(const std::string& root, bool verify, bool repair, bool json) {
     namespace fs = std::filesystem;
     // train label -> sorted node store directories
@@ -320,6 +326,8 @@ int inspect_fleet_root(const std::string& root, bool verify, bool repair, bool j
         jout += "{\"train\":\"" + json_escape(train_label) + "\",\"nodes\":[";
         bool train_clean = true;
         bool first_node = true;
+        std::vector<chain::BlockStore> loaded;
+        std::vector<std::string> loaded_names;
         for (const fs::path& dir : nodes) {
             ++stores;
             chain::RecoveryReport report;
@@ -362,6 +370,8 @@ int inspect_fleet_root(const std::string& root, bool verify, bool repair, bool j
                 train_clean = false;
                 continue;
             }
+            loaded.push_back(std::move(store));
+            loaded_names.push_back(dir.filename().string());
             if (repair && !report.discarded_files.empty()) {
                 for (const auto& file : report.discarded_files) {
                     std::error_code rm_ec;
@@ -379,6 +389,26 @@ int inspect_fleet_root(const std::string& root, bool verify, bool repair, bool j
             } else {
                 ++clean_stores;
             }
+        }
+        std::vector<const chain::BlockStore*> replicas;
+        for (const chain::BlockStore& st : loaded) replicas.push_back(&st);
+        jout += "],\"forks\":[";
+        bool first_fork = true;
+        for (const chain::Fork& fork : chain::find_forks(replicas)) {
+            const auto height = static_cast<unsigned long long>(fork.height);
+            const std::string& a = loaded_names[fork.a];
+            const std::string& b = loaded_names[fork.b];
+            if (json) {
+                jout += std::string(first_fork ? "" : ",") + "{\"height\":" +
+                        std::to_string(height) + ",\"a\":\"" + json_escape(a) + "\",\"b\":\"" +
+                        json_escape(b) + "\"}";
+            } else {
+                std::printf("%-10s %-8s   fork at height %llu: %s vs %s\n", train_label.c_str(),
+                            "--", height, a.c_str(), b.c_str());
+            }
+            first_fork = false;
+            train_clean = false;
+            if (rc == 0) rc = 1;
         }
         jout += std::string("],\"clean\":") + (train_clean ? "true" : "false") + "}";
         if (!json) {
