@@ -1,7 +1,9 @@
 #include "faults/liveness.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
+#include <utility>
 
 #include "common/log.hpp"
 
@@ -21,11 +23,10 @@ void LivenessAuditor::configure(LivenessConfig cfg) { config_ = cfg; }
 void LivenessAuditor::set_schedule(std::vector<NodeDarkSpan> node_dark,
                                    std::vector<UplinkDarkSpan> uplink_dark,
                                    Duration horizon) {
-    horizon_ = horizon;
-    uplink_dark_ = std::move(uplink_dark);
-    std::sort(uplink_dark_.begin(), uplink_dark_.end(),
+    std::sort(uplink_dark.begin(), uplink_dark.end(),
               [](const UplinkDarkSpan& a, const UplinkDarkSpan& b) { return a.from < b.from; });
     good_windows_.clear();
+    uplink_up_.clear();
 
     // Sweep the dark spans: a window is quorum-capable while at most f
     // nodes are dark. Ends sort before starts at equal time ([from, to))
@@ -61,38 +62,109 @@ void LivenessAuditor::set_schedule(std::vector<NodeDarkSpan> node_dark,
     }
     if (in_good && horizon > open) good_windows_.emplace_back(open, horizon);
     report_.windows = good_windows_.size();
+
+    // Each window's longest uplink-up stretch past the settle grace: the
+    // export rule's span (exports may legitimately sit still while the
+    // LTE is dark).
+    for (const auto& [from, to] : good_windows_) {
+        std::pair<Duration, Duration> best{to, to};
+        Duration lo = from + config_.settle;  // start of the current up stretch
+        for (const UplinkDarkSpan& d : uplink_dark) {
+            const Duration hi = std::min(std::max(d.from, lo), to);
+            if (hi - lo > best.second - best.first) best = {lo, hi};
+            lo = std::max(lo, d.to);
+        }
+        if (to - lo > best.second - best.first) best = {lo, to};
+        uplink_up_.push_back(best);
+    }
 }
 
-void LivenessAuditor::observe(TimePoint now, const LivenessObs& obs,
-                              const std::vector<LivenessNodeObs>& nodes) {
+void LivenessAuditor::observe(TimePoint now, const std::vector<health::NodeSample>& nodes,
+                              std::uint64_t exports_completed) {
+    if (finished_) return;
     const Duration at{now.count()};
-    samples_.push_back({at, obs});
 
     std::uint64_t cluster_head = 0;
-    for (const LivenessNodeObs& n : nodes) {
-        if (n.alive) cluster_head = std::max(cluster_head, n.head);
-    }
-    for (const LivenessNodeObs& n : nodes) {
-        const auto prev = last_alive_.find(n.node);
-        if (prev != last_alive_.end() && !prev->second && n.alive) {
-            rejoins_.push_back({n.node, at, false});
+    std::uint64_t backlog = 0;
+    bool owed = false;  // a live replica holds input it has not logged
+    decided_.clear();
+    for (const health::NodeSample& s : nodes) {
+        if (s.alive) {
+            decided_.push_back(s.decided);
+            cluster_head = std::max(cluster_head, s.head_height);
+            owed = owed || s.open_requests > 0;
         }
-        last_alive_[n.node] = n.alive;
-        last_head_[n.node] = n.head;
-        if (n.alive) {
-            for (Rejoin& r : rejoins_) {
-                if (r.node == n.node && !r.caught_up &&
-                    n.head + config_.rejoin_lag_blocks >= cluster_head) {
-                    r.caught_up = true;
-                }
-            }
+        backlog = std::max(backlog, s.head_height - std::min(s.head_height, s.base_height));
+    }
+    if (last_alive_.size() < nodes.size()) last_alive_.resize(nodes.size(), true);
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+        const health::NodeSample& n = nodes[i];
+        if (!last_alive_[i] && n.alive) rejoins_.push_back({n.node, at, false});
+        last_alive_[i] = n.alive;
+        for (Rejoin& r : rejoins_) {
+            r.caught_up = r.caught_up || (r.node == n.node && n.alive &&
+                                          n.head_height + config_.rejoin_lag_blocks >=
+                                              cluster_head);
         }
     }
+
+    // Quorum-capable time past the settle graces since the last snapshot.
+    for (std::size_t i = window_; i < good_windows_.size(); ++i) {
+        const Duration lo = std::max(good_windows_[i].first + config_.settle, last_at_);
+        const Duration hi = std::min(good_windows_[i].second, at);
+        if (hi > lo) judged_ += hi - lo;
+        if (good_windows_[i].second >= at) break;
+    }
+    last_at_ = at;
+    while (window_ < good_windows_.size() && good_windows_[window_].second < at) {
+        close_window(good_windows_[window_].second);
+    }
+    const auto add = [snap = Snap{at, exports_completed, backlog}](Span& span) {
+        if (span.first.at < Duration::zero()) span.first = snap;
+        span.last = snap;
+    };
+    if (window_ < good_windows_.size() && at >= good_windows_[window_].first + config_.settle) {
+        add(window_span_);
+        const auto& [lo, hi] = uplink_up_[window_];
+        if (at >= lo && at <= hi) add(uplink_span_);
+    }
+
+    // The frontier a 2f+1 quorum of live replicas has decided up to (0
+    // while fewer are up), not the fastest replica's.
+    const std::size_t quorum = 2 * static_cast<std::size_t>(config_.f) + 1;
+    std::uint64_t frontier = 0;
+    if (decided_.size() >= quorum) {
+        const auto kth = decided_.begin() + static_cast<std::ptrdiff_t>(quorum - 1);
+        std::nth_element(decided_.begin(), kth, decided_.end(), std::greater<>());
+        frontier = *kth;
+    }
+    if (anchor_at_ < Duration::zero() || !owed ||
+        frontier >= anchor_frontier_ + config_.min_decided_per_window) {
+        anchor_at_ = at;
+        anchor_judged_ = judged_;
+        anchor_frontier_ = frontier;
+        open_stall_ = kNoStall;
+        return;
+    }
+    // A frontier that went back (restarts resume from a durable
+    // watermark) re-bases, so climbing back counts as progress.
+    anchor_frontier_ = std::min(anchor_frontier_, frontier);
+    if (open_stall_ != kNoStall) {
+        report_.violations[open_stall_].to = at;  // the stall goes on
+        return;
+    }
+    const Duration stalled = judged_ - anchor_judged_;
+    if (stalled < config_.min_window) return;
+    std::ostringstream detail;
+    detail << "a 2f+1 quorum was correct-and-connected for " << to_seconds(stalled)
+           << " s past the settle grace but the frontier it decided stayed at "
+           << anchor_frontier_ << " (needs +" << config_.min_decided_per_window << ")";
+    open_stall_ = report_.violations.size();
+    violate(LivenessViolationKind::kNoOrderingProgress, anchor_at_, at, kNoNode, detail.str());
 }
 
 void LivenessAuditor::violate(LivenessViolationKind kind, Duration from, Duration to,
                               NodeId node, std::string detail) {
-    if (!seen_.emplace(static_cast<int>(kind), from.count(), node).second) return;
     ZC_ERROR("liveness", "liveness violation {} in [{} s, {} s] node {}: {}",
              liveness_violation_name(kind), to_seconds(from), to_seconds(to),
              node == kNoNode ? std::int64_t{-1} : static_cast<std::int64_t>(node), detail);
@@ -113,82 +185,40 @@ Duration LivenessAuditor::good_time_between(Duration from, Duration to) const {
     return total;
 }
 
-const LivenessAuditor::Sample* LivenessAuditor::first_sample_at_or_after(Duration t) const {
-    for (const Sample& s : samples_) {
-        if (s.at >= t) return &s;
-    }
-    return nullptr;
-}
+void LivenessAuditor::close_window(Duration end) {
+    const Duration from = good_windows_[window_].first;
+    const Duration to = std::min(good_windows_[window_].second, end);
+    const Span window = std::exchange(window_span_, Span{});
+    const Span uplink = std::exchange(uplink_span_, Span{});
+    const auto [lo, hi] = uplink_up_[window_];
+    window_ += 1;
 
-const LivenessAuditor::Sample* LivenessAuditor::last_sample_at_or_before(Duration t) const {
-    const Sample* best = nullptr;
-    for (const Sample& s : samples_) {
-        if (s.at <= t) best = &s;
-    }
-    return best;
-}
-
-void LivenessAuditor::check_window(Duration from, Duration to) {
     const Duration start = from + config_.settle;
     if (to <= start || to - start < config_.min_window) return;
-    const Sample* a = first_sample_at_or_after(start);
-    const Sample* b = last_sample_at_or_before(to);
-    // Judge only windows the sampler actually covered (at least half of
-    // the required span between the two anchor samples).
-    if (a == nullptr || b == nullptr || b->at <= a->at ||
-        b->at - a->at < config_.min_window / 2) {
+    // Count only windows the sampler actually covered (at least half of
+    // the required span between the first and last snapshot).
+    if (window.last.at <= window.first.at ||
+        window.last.at - window.first.at < config_.min_window / 2) {
         return;
     }
     report_.windows_checked += 1;
+    report_.checks += 1;  // the ordering rule, judged as snapshots arrived
 
-    report_.checks += 1;
-    const std::uint64_t advanced =
-        b->obs.decided >= a->obs.decided ? b->obs.decided - a->obs.decided : 0;
-    if (advanced < config_.min_decided_per_window) {
-        std::ostringstream detail;
-        detail << "a 2f+1 quorum was correct-and-connected for "
-               << to_seconds(b->at - a->at) << " s but the ordered height advanced by "
-               << advanced << " (< " << config_.min_decided_per_window
-               << "); decided stuck at " << b->obs.decided;
-        violate(LivenessViolationKind::kNoOrderingProgress, from, to, kNoNode, detail.str());
+    if (!config_.check_exports || std::min(hi, to) - lo < config_.min_window ||
+        uplink.last.at <= uplink.first.at) {
+        return;
     }
-
-    if (config_.check_exports) check_exports_in(a->at, b->at);
-}
-
-void LivenessAuditor::check_exports_in(Duration from, Duration to) {
-    // Clip the window to the longest uplink-up stretch inside it; exports
-    // may legitimately sit still while the LTE is dark.
-    Duration lo = from;
-    Duration best_lo = from, best_hi = from;
-    auto consider = [&](Duration a, Duration b) {
-        if (b - a > best_hi - best_lo) {
-            best_lo = a;
-            best_hi = b;
-        }
-    };
-    for (const UplinkDarkSpan& d : uplink_dark_) {
-        if (d.to <= lo || d.from >= to) continue;
-        if (d.from > lo) consider(lo, d.from);
-        lo = std::max(lo, d.to);
-    }
-    consider(lo, to);
-    if (best_hi - best_lo < config_.min_window) return;
-
-    const Sample* a = first_sample_at_or_after(best_lo);
-    const Sample* b = last_sample_at_or_before(best_hi);
-    if (a == nullptr || b == nullptr || b->at <= a->at) return;
-
     report_.checks += 1;
-    const bool had_backlog = a->obs.backlog_blocks > 0;
-    const bool completed = b->obs.exports_completed > a->obs.exports_completed;
-    const bool drained = b->obs.backlog_blocks < a->obs.backlog_blocks;
-    if (had_backlog && !completed && !drained) {
+    const bool completed = uplink.last.exports > uplink.first.exports;
+    const bool drained = uplink.last.backlog < uplink.first.backlog;
+    if (uplink.first.backlog > 0 && !completed && !drained) {
         std::ostringstream detail;
-        detail << "uplink and data centers reachable for " << to_seconds(b->at - a->at)
-               << " s with a backlog of " << a->obs.backlog_blocks
+        detail << "uplink and data centers reachable for "
+               << to_seconds(uplink.last.at - uplink.first.at) << " s with a backlog of "
+               << uplink.first.backlog
                << " blocks, but no export completed and the backlog did not shrink";
-        violate(LivenessViolationKind::kExportStuck, best_lo, best_hi, kNoNode, detail.str());
+        violate(LivenessViolationKind::kExportStuck, lo, std::min(hi, to), kNoNode,
+                detail.str());
     }
 }
 
@@ -196,11 +226,7 @@ void LivenessAuditor::finish(TimePoint end) {
     if (finished_) return;
     finished_ = true;
     const Duration at{end.count()};
-    if (horizon_ > Duration{0}) horizon_ = std::min(horizon_, at);
-
-    for (const auto& [from, to] : good_windows_) {
-        check_window(from, std::min(to, at));
-    }
+    while (window_ < good_windows_.size()) close_window(at);
 
     for (const Rejoin& r : rejoins_) {
         if (r.caught_up) continue;

@@ -1,4 +1,4 @@
-// End-of-run liveness auditor: the complement of the SafetyAuditor.
+// Liveness auditor: the complement of the SafetyAuditor.
 //
 // Safety says nothing wrong was recorded; liveness says recording
 // actually *happened* whenever the fault model allowed it. Given the
@@ -7,10 +7,13 @@
 // auditor computes the quorum-capable windows: maximal spans where at
 // most f nodes were down or disconnected, i.e. where a 2f+1 quorum of
 // correct-and-connected replicas existed and PBFT promises progress.
-// Inside every such window (after a settle grace for view changes to
-// converge) it asserts bounded progress from periodic observations:
+// It judges the harness's health snapshots as they arrive, keeping no
+// sample history:
 //
-//   * the ordered height advances (the cluster decided new requests),
+//   * while input waits to be logged, the frontier a 2f+1 quorum of
+//     live replicas decided to must not stand still for `min_window` of
+//     quorum-capable time past each window's settle grace (a sliding
+//     span, wherever the stall starts; an idle bus owes nothing),
 //   * the export backlog drains while the uplink and a DC are reachable,
 //   * a restarted node catches up to the cluster head within a bound.
 //
@@ -20,27 +23,26 @@
 // liveness violation — exactly the regime where fixed view-change
 // timeouts thrash and adaptive ones (pbft/adaptive.hpp) keep going.
 //
-// Violations are deduplicated, logged via ZC_ERROR (so the flight
-// recorder captures them), emitted as kLivenessViolation trace events
-// and summarized in a typed report that `zugchain_sim --audit-liveness`
-// turns into exit code 6.
+// Violations are logged via ZC_ERROR (so the flight recorder captures
+// them), emitted as kLivenessViolation trace events and summarized in a
+// typed report that `zugchain_sim --audit-liveness` turns into exit
+// code 6.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <string>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
 #include "common/time.hpp"
+#include "health/monitor.hpp"
 #include "trace/trace.hpp"
 
 namespace zc::faults {
 
 enum class LivenessViolationKind : std::uint8_t {
-    kNoOrderingProgress,  ///< a quorum-capable window ordered nothing new
+    kNoOrderingProgress,  ///< the quorum frontier stood still too long
     kExportStuck,         ///< uplink + DC reachable, backlog never drained
     kRejoinIncomplete,    ///< a restarted node never caught up in time
 };
@@ -49,7 +51,7 @@ const char* liveness_violation_name(LivenessViolationKind kind) noexcept;
 
 struct LivenessViolation {
     LivenessViolationKind kind;
-    Duration from{0};  ///< offending window, relative to t = 0
+    Duration from{0};  ///< offending span, relative to t = 0
     Duration to{0};
     NodeId node = kNoNode;  ///< rejoin victim (window checks: kNoNode)
     std::string detail;
@@ -86,13 +88,13 @@ struct LivenessConfig {
     std::uint32_t n = 4;
     std::uint32_t f = 1;
 
-    /// Quorum-capable windows shorter than settle + min_window are not
-    /// judged (a view change is allowed to eat the whole span).
+    /// Quorum-capable time (past the settle grace) the 2f+1 frontier may
+    /// stand still; shorter windows are not judged for exports.
     Duration min_window{seconds(8)};
     /// Grace at each window start for timers and view changes to settle.
     Duration settle{seconds(3)};
 
-    /// Minimum ordered-request advance a checked window must show.
+    /// Advance of the 2f+1 frontier that counts as progress.
     std::uint64_t min_decided_per_window = 1;
 
     /// A restarted node must be back within `rejoin_lag_blocks` of the
@@ -102,19 +104,6 @@ struct LivenessConfig {
 
     /// Export-drain assertions (off without data centers).
     bool check_exports = false;
-};
-
-/// One periodic cluster observation (harness cadence, virtual clock).
-struct LivenessObs {
-    std::uint64_t decided = 0;           ///< cluster commit frontier (max)
-    std::uint64_t exports_completed = 0; ///< sum over data centers
-    std::uint64_t backlog_blocks = 0;    ///< max over nodes: head - prune base
-};
-
-struct LivenessNodeObs {
-    NodeId node = 0;
-    bool alive = true;
-    std::uint64_t head = 0;  ///< chain head height
 };
 
 class LivenessAuditor {
@@ -127,11 +116,14 @@ public:
     void set_schedule(std::vector<NodeDarkSpan> node_dark,
                       std::vector<UplinkDarkSpan> uplink_dark, Duration horizon);
 
-    /// One observation on the harness's sampling cadence.
-    void observe(TimePoint now, const LivenessObs& obs,
-                 const std::vector<LivenessNodeObs>& nodes);
+    /// One snapshot of the train on the harness's sampling tick: every
+    /// replica's sample plus the train's completed exports, summed over
+    /// the data centers. Call with non-decreasing `now`.
+    void observe(TimePoint now, const std::vector<health::NodeSample>& nodes,
+                 std::uint64_t exports_completed);
 
-    /// Closes the run and judges every window. Idempotent.
+    /// Closes the run: judges the open window and pending rejoins.
+    /// Idempotent; later observations are ignored.
     void finish(TimePoint end);
 
     const LivenessReport& report() const noexcept { return report_; }
@@ -142,36 +134,51 @@ public:
     }
 
 private:
-    struct Sample {
-        Duration at{0};
-        LivenessObs obs;
-    };
     struct Rejoin {
         NodeId node = 0;
         Duration restarted_at{0};
         bool caught_up = false;
+    };
+    struct Snap {
+        Duration at{-1};
+        std::uint64_t exports = 0;  ///< completed, over the data centers
+        std::uint64_t backlog = 0;  ///< max over nodes: head - prune base
+    };
+    struct Span {  ///< the first and last snapshot inside a span
+        Snap first, last;
     };
 
     void violate(LivenessViolationKind kind, Duration from, Duration to, NodeId node,
                  std::string detail);
     /// Quorum-capable time accumulated in [from, to].
     Duration good_time_between(Duration from, Duration to) const;
-    const Sample* first_sample_at_or_after(Duration t) const;
-    const Sample* last_sample_at_or_before(Duration t) const;
-    void check_window(Duration from, Duration to);
-    void check_exports_in(Duration from, Duration to);
+    /// Judges the window under the cursor, cut at `end`, and moves on.
+    void close_window(Duration end);
 
     LivenessConfig config_;
     trace::TraceContext trace_;
-    Duration horizon_{0};
     std::vector<std::pair<Duration, Duration>> good_windows_;
-    std::vector<UplinkDarkSpan> uplink_dark_;
-    std::vector<Sample> samples_;
-    std::map<NodeId, bool> last_alive_;
-    std::map<NodeId, std::uint64_t> last_head_;
+    /// Per window: its longest uplink-up stretch past the settle grace.
+    std::vector<std::pair<Duration, Duration>> uplink_up_;
+
+    std::size_t window_ = 0;  ///< cursor: snapshots arrive in time order
+    Span window_span_;        ///< ... past the window's settle grace
+    Span uplink_span_;        ///< ... inside its longest uplink-up stretch
+
+    // Ordering: quorum-capable time past the settle graces, accrued up to
+    // the last snapshot, and where the frontier last advanced.
+    Duration last_at_{0};
+    Duration judged_{0};
+    Duration anchor_at_{-1};
+    Duration anchor_judged_{0};
+    std::uint64_t anchor_frontier_ = 0;
+    static constexpr std::size_t kNoStall = static_cast<std::size_t>(-1);
+    std::size_t open_stall_ = kNoStall;  ///< index into report_.violations
+    std::vector<std::uint64_t> decided_;  ///< scratch
+
+    std::vector<bool> last_alive_;
     std::vector<Rejoin> rejoins_;
     LivenessReport report_;
-    std::set<std::tuple<int, std::int64_t, NodeId>> seen_;  ///< violation dedup
     bool finished_ = false;
 };
 

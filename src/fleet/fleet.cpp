@@ -19,12 +19,13 @@ Fleet::Fleet(FleetConfig config)
         throw std::invalid_argument(
             "fleet template carries a fault plan; put per-train faults in FleetConfig::faults");
     }
-    if (config_.trains > 1 && (tmpl.store_root || tmpl.auditor != nullptr ||
-                               tmpl.liveness != nullptr || !tmpl.byzantine.empty())) {
+    if (config_.trains > 1 &&
+        (tmpl.store_root || tmpl.auditor != nullptr || !tmpl.byzantine.empty() ||
+         tmpl.health_monitor != nullptr || tmpl.health_timeseries != nullptr)) {
         throw std::invalid_argument(
-            "fleet template carries per-consist settings (store_root, auditor, liveness or "
-            "byzantine) for " + std::to_string(config_.trains) +
-            " trains; use FleetConfig::store_root, audit and byzantine");
+            "fleet template carries per-consist settings (store_root, auditor, byzantine or "
+            "health taps) for " + std::to_string(config_.trains) +
+            " trains; use FleetConfig::store_root, audit, byzantine and monitors");
     }
     for (const auto& [t, plan] : config_.faults.trains) {
         if (t >= config_.trains) {
@@ -111,6 +112,15 @@ void Fleet::build() {
             cfg.auditor = owned_auditors_.back().get();
         }
         if (cfg.auditor != nullptr) auditors_.push_back(cfg.auditor);
+        // Liveness judges: the template's watches train 0, `audit` arms the
+        // rest (exports are left to the monitors' backlog watchdog).
+        cfg.liveness = t == 0 ? tmpl.liveness : nullptr;
+        if (config_.audit && cfg.liveness == nullptr) {
+            owned_judges_.push_back(std::make_unique<faults::LivenessAuditor>());
+            owned_judges_.back()->configure({.n = tmpl.n, .f = tmpl.f});
+            cfg.liveness = owned_judges_.back().get();
+        }
+        judges_.push_back(cfg.liveness);
         // Shard trace events are remapped into the train's pid band so a
         // single Tracer yields one merged fleet trace (see trace_pid());
         // train 0's band starts at pid 0 and needs no remapping.
@@ -128,6 +138,14 @@ void Fleet::build() {
             static_cast<runtime::FaultPlan&>(cfg) = plan->second;
         }
 
+        if (cfg.liveness != nullptr) {  // the windows where the model excuses a stall
+            const Duration horizon = config_.warmup + config_.duration;
+            runtime::FaultPlan::DownSpans spans = cfg.down_spans(horizon);
+            spans.crashed.insert(spans.crashed.end(), spans.isolated.begin(), spans.isolated.end());
+            cfg.liveness->set_trace({cfg.trace_sink, kNoNode, sim_.now_handle()});
+            cfg.liveness->set_schedule(std::move(spans.crashed), std::move(spans.uplink), horizon);
+        }
+
         runtime::ShardEnv env;
         env.sim = queue;
         env.net = networks_.back().get();
@@ -136,26 +154,11 @@ void Fleet::build() {
     }
 
     // The shared steps go onto the clock in a fixed order — audit tick,
-    // liveness tick, DCs, fault plans, bus start — because the event queue
-    // breaks time ties by insertion order: a one-train fleet replays the
-    // single consist's event sequence exactly.
+    // DCs, fault plans, bus start, sampling tick — because the event
+    // queue breaks time ties by insertion order: a one-train fleet
+    // replays the single consist's event sequence exactly.
     if (!auditors_.empty() && tmpl.audit_period > Duration::zero()) {
         sim_.schedule(tmpl.audit_period, [this] { audit_tick(); });
-    }
-
-    // Liveness auditor (one-train fleets): lower the train's fault plan
-    // into dark spans (the windows where the model itself excuses a
-    // stall) and sample cluster progress on a fixed cadence. The caller
-    // configures n/f/thresholds before construction; finish() is the
-    // harness's job after the run.
-    if (tmpl.liveness != nullptr && tmpl.liveness_period > Duration::zero()) {
-        tmpl.liveness->set_trace({config_.trace_sink, kNoNode, sim_.now_handle()});
-        const Duration horizon = config_.warmup + config_.duration;
-        runtime::FaultPlan::DownSpans spans = shards_[0]->config().down_spans(horizon);
-        std::vector<faults::NodeDarkSpan> dark = std::move(spans.crashed);
-        dark.insert(dark.end(), spans.isolated.begin(), spans.isolated.end());
-        tmpl.liveness->set_schedule(std::move(dark), std::move(spans.uplink), horizon);
-        sim_.schedule(tmpl.liveness_period, [this] { liveness_tick(); });
     }
 
     // Shared data centers: each attaches one port per shard network and
@@ -201,8 +204,11 @@ void Fleet::build() {
 
     for (TrainId t = 0; t < config_.trains; ++t) shards_[t]->start();
 
-    // Health: per-shard watchdogs on one lock-step cadence + the rollup.
-    if (config_.monitors) {
+    // Health: per-shard watchdogs on one lock-step cadence + the rollup;
+    // a one-train fleet takes the template's monitor instead.
+    if (tmpl.health_monitor != nullptr) {
+        monitors_.push_back(tmpl.health_monitor);
+    } else if (config_.monitors) {
         health::MonitorConfig mc = config_.monitor;
         mc.watch_export = config_.dc_count > 0;
         if (config_.dc_count > 0) {
@@ -217,12 +223,22 @@ void Fleet::build() {
                                         static_cast<std::uint64_t>(4 * blocks_per_period));
         }
         for (TrainId t = 0; t < config_.trains; ++t) {
-            monitors_.push_back(std::make_unique<health::HealthMonitor>(mc));
+            owned_monitors_.push_back(std::make_unique<health::HealthMonitor>(mc));
+            monitors_.push_back(owned_monitors_.back().get());
         }
     }
-    if (config_.sample_period > Duration::zero()) {
-        sim_.schedule(config_.sample_period, [this] { sample_tick(); });
+
+    // The one sampling tick goes on after the bus start. Without a fleet
+    // cadence it runs at the template's health cadence, if anything reads it.
+    Duration& period = config_.sample_period;
+    if (period == Duration::zero() &&
+        (tmpl.health_monitor || tmpl.health_timeseries || tmpl.liveness || config_.audit)) {
+        const std::uint32_t cycles = tmpl.health_monitor != nullptr
+                                         ? tmpl.health_monitor->config().sample_every_cycles
+                                         : tmpl.timeseries_sample_cycles;
+        period = tmpl.bus_cycle * std::max<std::uint32_t>(1, cycles);
     }
+    if (period > Duration::zero()) sim_.schedule(period, [this] { sample_tick(); });
 }
 
 void Fleet::export_tick(TrainId train) {
@@ -260,6 +276,14 @@ void Fleet::sample_tick() {
             logged = std::max(logged, s.logged);
         }
         if (!monitors_.empty()) monitors_[t]->sample(sim_.now(), samples);
+        if (config_.train.health_timeseries != nullptr) {
+            config_.train.health_timeseries->sample(sim_.now(), samples);
+        }
+        if (judges_[t] != nullptr) {
+            std::uint64_t exports = 0;
+            for (const auto& dc : dcs_) exports += dc->core(t).stats().exports_completed;
+            judges_[t]->observe(sim_.now(), samples, exports);
+        }
         row.head_sum += head;
         row.logged_sum += logged;
         row.backlog_sum += head - std::min(base, head);
@@ -351,35 +375,15 @@ void Fleet::audit_tick() {
     sim_.schedule(config_.train.audit_period, [this] { audit_tick(); });
 }
 
-void Fleet::liveness_tick() {
-    const runtime::TrainShard& shard = *shards_[0];
-    faults::LivenessObs obs;
-    std::vector<faults::LivenessNodeObs> nodes;
-    nodes.reserve(shard.node_count());
-    for (std::size_t i = 0; i < shard.node_count(); ++i) {
-        const health::NodeSample s = shard.snapshot_node(i);
-        obs.decided = std::max(obs.decided, s.decided);
-        const std::uint64_t backlog = s.head_height - std::min(s.head_height, s.base_height);
-        obs.backlog_blocks = std::max(obs.backlog_blocks, backlog);
-        nodes.push_back({s.node, s.alive, s.head_height});
-    }
-    for (const auto& dc : dcs_) obs.exports_completed += dc->core(0).stats().exports_completed;
-    config_.train.liveness->observe(sim_.now(), obs, nodes);
-    sim_.schedule(config_.train.liveness_period, [this] { liveness_tick(); });
-}
-
 void Fleet::run() {
     advance_to(config_.warmup + config_.duration);
     stop_sampling_ = true;
     for (auto& dc : dcs_) dc->observe_all();
     run_audit();
+    for (const auto& judge : owned_judges_) judge->finish(sim_.now());
 }
 
 void Fleet::run_for(Duration d) { advance_to(sim_.now() + d); }
-
-const health::HealthMonitor* Fleet::monitor(TrainId t) const {
-    return monitors_.empty() ? nullptr : monitors_.at(t).get();
-}
 
 FleetReport Fleet::report() {
     FleetReport out;
@@ -396,9 +400,8 @@ FleetReport Fleet::report() {
         out.ingest_dropped += dc->ingest_dropped();
     }
 
-    std::vector<const health::HealthMonitor*> monitor_views;
-    for (const auto& m : monitors_) monitor_views.push_back(m.get());
-    out.alarms = FleetRollup::summarize(monitor_views);
+    out.alarms = FleetRollup::summarize(
+        std::vector<const health::HealthMonitor*>(monitors_.begin(), monitors_.end()));
 
     for (TrainId t = 0; t < config_.trains; ++t) {
         TrainReport tr;
@@ -424,7 +427,11 @@ FleetReport Fleet::report() {
         if (!auditors_.empty()) {
             tr.audit_violations = auditors_[t]->report().violations.size();
         }
+        if (const faults::LivenessAuditor* judge = liveness(t)) {
+            tr.liveness_violations = judge->report().violations.size();
+        }
         out.audit_violations += tr.audit_violations;
+        out.liveness_violations += tr.liveness_violations;
         out.head_sum += tr.head;
         out.logged_sum += tr.logged;
         out.per_train.push_back(tr);
@@ -447,6 +454,7 @@ std::string FleetReport::json() const {
     out += ",\"exports_failed\":" + std::to_string(exports_failed);
     out += ",\"ingest_dropped\":" + std::to_string(ingest_dropped);
     out += ",\"audit_violations\":" + std::to_string(audit_violations);
+    out += ",\"liveness_violations\":" + std::to_string(liveness_violations);
     out += ",\"alarms\":" + alarms.json();
     out += ",\"per_train\":[";
     bool first = true;
@@ -462,6 +470,7 @@ std::string FleetReport::json() const {
         out += ",\"exports_failed\":" + std::to_string(t.exports_failed);
         out += ",\"active_alarms\":" + std::to_string(t.active_alarms);
         out += ",\"audit_violations\":" + std::to_string(t.audit_violations);
+        out += ",\"liveness_violations\":" + std::to_string(t.liveness_violations);
         out += "}";
     }
     out += "]}";

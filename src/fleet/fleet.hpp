@@ -31,8 +31,9 @@
 //     contend for.
 //   * FleetIndex: the cross-fleet archive index (dedup by block hash,
 //     keyed by train id; cross-shard collisions pinned to zero).
-//   * Per-shard HealthMonitors + a FleetRollup time series; per-shard
-//     SafetyAuditors when auditing is on.
+//   * One sampling tick: each train's snapshots feed its HealthMonitor,
+//     its liveness judge and a FleetRollup row; per-shard SafetyAuditors
+//     and liveness judges when auditing is on.
 //
 // Determinism strategy: construction order is fixed (shards in train
 // order, each with its network, node keys and DC keys; then DCs in id
@@ -70,11 +71,11 @@ struct FleetConfig {
     /// duration, the trace sink and the fault plan (from `faults`). The
     /// template's own FaultPlan must be empty (the constructor throws
     /// otherwise): per-train faults belong in `faults`. Its audit_period
-    /// paces the fleet's audit tick. store_root, auditor, liveness and
-    /// byzantine are per-consist settings: honoured as given for a
+    /// paces the fleet's audit tick. store_root, auditor, byzantine and
+    /// the health taps are per-consist settings: honoured as given for a
     /// one-train fleet, rejected (std::invalid_argument) for more trains —
-    /// use the fleet's store_root, audit and byzantine instead. Health
-    /// pointers are read by runtime::Scenario, not by the fleet.
+    /// use the fleet's store_root, audit, byzantine and monitors instead.
+    /// A (configured) liveness judge watches train 0; the caller finishes it.
     runtime::ScenarioConfig train;
 
     std::uint32_t dc_count = 2;
@@ -101,14 +102,16 @@ struct FleetConfig {
     /// (inspectable with zc_inspect --store-dir store_root).
     std::optional<std::filesystem::path> store_root;
 
-    /// Fleet health sampling cadence (per-shard monitors + rollup rows;
-    /// 0 = no sampling tick).
+    /// Sampling tick cadence (per-shard monitors, judges, rollup rows);
+    /// 0 = the template's health cadence, or no tick without a consumer
+    /// (config() then reports the cadence in use).
     bool monitors = true;
     Duration sample_period{milliseconds(256)};
     health::MonitorConfig monitor;
 
     /// Per-shard safety auditors + a final audit pass in run(), on the
-    /// template's audit_period.
+    /// template's audit_period; plus per-train liveness judges, finished
+    /// by run().
     bool audit = false;
 
     /// Per-train Byzantine knobs (train -> node -> behaviour).
@@ -154,6 +157,7 @@ struct TrainReport {
     std::uint64_t exports_failed = 0;
     std::uint64_t active_alarms = 0;
     std::uint64_t audit_violations = 0;
+    std::uint64_t liveness_violations = 0;
 };
 
 struct FleetReport {
@@ -169,6 +173,7 @@ struct FleetReport {
     std::uint64_t exports_failed = 0;
     std::uint64_t ingest_dropped = 0;
     std::uint64_t audit_violations = 0;
+    std::uint64_t liveness_violations = 0;
     FleetAlarmSummary alarms;
     std::vector<TrainReport> per_train;
 
@@ -219,11 +224,15 @@ public:
     std::uint32_t dc_count() const noexcept { return config_.dc_count; }
     const FleetIndex& index() const noexcept { return index_; }
     const FleetRollup& rollup() const noexcept { return rollup_; }
-    const health::HealthMonitor* monitor(TrainId t) const;
+    const health::HealthMonitor* monitor(TrainId t) const {
+        return monitors_.empty() ? nullptr : monitors_.at(t);
+    }
     /// Train t's safety auditor, null when auditing is off.
     const faults::SafetyAuditor* auditor(TrainId t) const {
         return auditors_.empty() ? nullptr : auditors_.at(t);
     }
+    /// Train t's liveness judge, null when it has none.
+    const faults::LivenessAuditor* liveness(TrainId t) const { return judges_.at(t); }
     /// The fleet queue (DCs, fleet ticks, harness events). In a one-train
     /// fleet it is also the train's queue. Advance a fleet of several
     /// trains with run/run_for: running this queue alone leaves the
@@ -242,7 +251,6 @@ private:
     void sample_tick();
     void audit_tick();
     void audit_shard(TrainId train);
-    void liveness_tick();
 
     FleetConfig config_;
     sim::Simulation sim_;
@@ -257,10 +265,14 @@ private:
     /// template's auditor); empty otherwise.
     std::vector<faults::SafetyAuditor*> auditors_;
     std::vector<std::unique_ptr<faults::SafetyAuditor>> owned_auditors_;
+    std::vector<faults::LivenessAuditor*> judges_;  ///< one per train, null = unjudged
+    std::vector<std::unique_ptr<faults::LivenessAuditor>> owned_judges_;
     std::vector<std::unique_ptr<runtime::TrainShard>> shards_;
     FleetIndex index_;
     std::vector<std::unique_ptr<FleetDataCenter>> dcs_;
-    std::vector<std::unique_ptr<health::HealthMonitor>> monitors_;
+    /// One per train (the fleet's own or a one-train template's), or none.
+    std::vector<health::HealthMonitor*> monitors_;
+    std::vector<std::unique_ptr<health::HealthMonitor>> owned_monitors_;
     FleetRollup rollup_;
     bool stop_sampling_ = false;
     std::unique_ptr<WorkerPool> pool_;  ///< made on the first parallel pass

@@ -8,8 +8,9 @@ namespace {
 
 /// The one-train fleet behind a Scenario: the consist's DCs get a 4-core
 /// unbounded ingest executor each and the whole LTE cell, exports are
-/// started by the caller, and the Scenario samples health itself. The
-/// config is moved, never copied.
+/// started by the caller, and the fleet's sampling tick runs at the
+/// template's health cadence (none without a health tap or liveness
+/// judge). The config is moved, never copied.
 fleet::FleetConfig one_train_fleet(ScenarioConfig config) {
     fleet::FleetConfig fc;
     fc.trains = 1;
@@ -36,23 +37,12 @@ fleet::FleetConfig one_train_fleet(ScenarioConfig config) {
 Scenario::Scenario(ScenarioConfig config)
     : fleet_(std::make_unique<fleet::Fleet>(one_train_fleet(std::move(config)))),
       shard_(&fleet_->shard(0)) {
-    // The measurement window and health taps go onto the clock after the
-    // fleet started the bus (the event queue breaks time ties by
-    // insertion order).
+    // The measurement window goes onto the clock after the fleet started
+    // the bus (the event queue breaks time ties by insertion order).
     const ScenarioConfig& cfg = shard_->config();
     sim::Simulation& s = sim();
     s.schedule(cfg.mem_sample_period, [this] { sample_memory(); });
     s.schedule(cfg.warmup, [this] { start_measuring(); });
-
-    // Health taps: one scheduled snapshot every N bus cycles; with no
-    // monitor or time-series sink attached this costs nothing at all.
-    if (cfg.health_monitor != nullptr || cfg.health_timeseries != nullptr) {
-        const std::uint32_t cycles = cfg.health_monitor != nullptr
-                                         ? cfg.health_monitor->config().sample_every_cycles
-                                         : cfg.timeseries_sample_cycles;
-        health_period_ = cfg.bus_cycle * std::max<std::uint32_t>(1, cycles);
-        s.schedule(health_period_, [this] { sample_health(); });
-    }
 }
 
 Scenario::~Scenario() = default;
@@ -72,18 +62,6 @@ void Scenario::start_measuring() {
         bytes_at_start_.push_back(network().stats(i).bytes_sent);
         bytes_rx_at_start_.push_back(network().stats(i).bytes_received);
     }
-}
-
-void Scenario::sample_health() {
-    std::vector<health::NodeSample> samples;
-    samples.reserve(shard_->node_count());
-    for (std::size_t i = 0; i < shard_->node_count(); ++i) {
-        samples.push_back(shard_->snapshot_node(i));
-    }
-    const ScenarioConfig& cfg = config();
-    if (cfg.health_monitor != nullptr) cfg.health_monitor->sample(sim().now(), samples);
-    if (cfg.health_timeseries != nullptr) cfg.health_timeseries->sample(sim().now(), samples);
-    sim().schedule(health_period_, [this] { sample_health(); });
 }
 
 void Scenario::sample_memory() {

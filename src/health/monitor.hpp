@@ -55,6 +55,7 @@ struct NodeSample {
     std::uint64_t head_height = 0;    ///< chain head (blocks)
     std::uint64_t stable_height = 0;  ///< last stable checkpoint, in blocks
     std::uint64_t base_height = 0;    ///< pruned-up-to floor (export coverage)
+    std::uint64_t open_requests = 0;  ///< taken in but not yet logged (work owed)
     std::uint64_t rx_dropped = 0;     ///< receive-queue overflow drops
     double mem_mb = 0.0;              ///< current logical memory
 

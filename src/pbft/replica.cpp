@@ -206,6 +206,7 @@ void Replica::flush_batch() {
         trace_point(trace::Phase::kBatchProposed, seq, pp.requests.size());
     }
     s.preprepare = std::move(pp);
+    s.preprepare_at = sim_.now();
     transport_.broadcast(Message{*s.preprepare});
 }
 
@@ -252,7 +253,11 @@ void Replica::handle(NodeId from, const PrePrepare& pp) {
         stats_.invalid_messages += 1;
         return;
     }
-    if (pp.seq <= last_exec_ || !in_watermarks(pp.seq)) return;
+    if (!in_watermarks(pp.seq)) return;
+    if (pp.seq <= last_exec_) {
+        answer_late_vote(from, pp.seq, pp.view, pp.req_digest, LateVote::kPrePrepare);
+        return;
+    }
 
     if (pp.requests.empty()) {
         stats_.invalid_messages += 1;
@@ -290,6 +295,7 @@ void Replica::handle(NodeId from, const PrePrepare& pp) {
     }
 
     accept_preprepare(pp, digests);
+    if (pp.seq > last_exec_ + 1) resend_blocked_head();
 }
 
 void Replica::accept_preprepare(const PrePrepare& pp, const std::vector<crypto::Digest>& digests) {
@@ -334,7 +340,11 @@ void Replica::handle(NodeId from, const Prepare& p) {
         stats_.invalid_messages += 1;
         return;
     }
-    if (p.seq <= last_exec_ || !in_watermarks(p.seq)) return;
+    if (!in_watermarks(p.seq)) return;
+    if (p.seq <= last_exec_) {
+        answer_late_vote(from, p.seq, p.view, p.req_digest, LateVote::kPrepare);
+        return;
+    }
     if (!crypto_.verify(p.replica, p.signing_bytes(), p.sig)) {
         stats_.invalid_messages += 1;
         return;
@@ -344,6 +354,7 @@ void Replica::handle(NodeId from, const Prepare& p) {
     s.prepares[p.replica] = p;
     account_slot_bytes(s, kPhaseMsgBytes);
     maybe_prepared(p.seq);
+    if (p.seq > last_exec_ + 1) resend_blocked_head();
 }
 
 void Replica::maybe_prepared(SeqNo seq) {
@@ -376,7 +387,11 @@ void Replica::handle(NodeId from, const Commit& c) {
         stats_.invalid_messages += 1;
         return;
     }
-    if (c.seq <= last_exec_ || !in_watermarks(c.seq)) return;
+    if (!in_watermarks(c.seq)) return;
+    if (c.seq <= last_exec_) {
+        answer_late_vote(from, c.seq, c.view, c.req_digest, LateVote::kCommit);
+        return;
+    }
     if (!crypto_.verify(c.replica, c.signing_bytes(), c.sig)) {
         stats_.invalid_messages += 1;
         return;
@@ -386,6 +401,7 @@ void Replica::handle(NodeId from, const Commit& c) {
     s.commits[c.replica] = c;
     account_slot_bytes(s, kPhaseMsgBytes);
     maybe_committed(c.seq);
+    if (c.seq > last_exec_ + 1) resend_blocked_head();
 }
 
 void Replica::maybe_committed(SeqNo seq) {
@@ -397,6 +413,83 @@ void Replica::maybe_committed(SeqNo seq) {
     }
     if (matching < quorum()) return;
     execute_ready();
+}
+
+// PBFT sends each vote once, so a vote lost on the wire (an outbound-only
+// link cut, a lossy egress) can leave a seq one vote short of its quorum
+// at some replicas while the rest of the cluster executes it and moves
+// on. Nothing times that slot out — its request counts as in flight — so
+// the blocked replicas stop executing, their checkpoints stop, and once
+// the watermark window fills ordering stops everywhere. Two halves mend
+// it, and neither fires in a run whose votes all arrive:
+//   * the blocked replica: agreement on later seqs goes on while nothing
+//     executed for a view-change timeout (a merely slow cluster still
+//     executes). It re-sends its own votes for the head (its preprepare
+//     when it proposed it), once per timeout; a peer that already holds
+//     them drops them.
+//   * a peer that executed the seq: a second copy of a vote for it (or
+//     of its preprepare) is a re-send, so its sender is blocked there.
+//     The peer re-sends its own votes, once per timeout. A vote from a
+//     later view means the seq is being re-proposed to replicas that
+//     never executed it: the peer votes afresh in that view, once — the
+//     executed value is the only one that can be decided at that seq.
+void Replica::resend_blocked_head() {
+    if (in_view_change_ || sim_.now() - last_progress_ < config_.view_change_timeout) return;
+    const auto it = log_.find(last_exec_ + 1);
+    if (it == log_.end() || !it->second.preprepare) return;
+    resend_votes(it->second);
+}
+
+void Replica::answer_late_vote(NodeId from, SeqNo seq, View view,
+                               const crypto::Digest& req_digest, LateVote kind) {
+    const auto it = log_.find(seq);
+    if (it == log_.end()) return;
+    Slot& s = it->second;
+    if (!s.executed || !s.preprepare || s.preprepare->req_digest != req_digest) return;
+    if (view == s.preprepare->view) {
+        // A copy of a vote this replica already holds is a re-send.
+        const std::uint64_t bit = from < 64 ? std::uint64_t{1} << from : 0;
+        const bool again = kind == LateVote::kPrePrepare || bit == 0 ||
+                           (s.late_votes & bit) != 0 ||
+                           (kind == LateVote::kPrepare ? s.prepares.contains(from)
+                                                       : s.commits.contains(from));
+        s.late_votes |= bit;
+        if (again) resend_votes(s);
+        return;
+    }
+    if (view != view_ || s.revoted_in == view_) return;
+    s.revoted_in = view_;
+    if (primary_of(view_) != config_.id) {
+        Prepare p;
+        p.view = view_;
+        p.seq = seq;
+        p.req_digest = req_digest;
+        p.replica = config_.id;
+        p.sig = crypto_.sign(p.signing_bytes());
+        stats_.prepares_sent += 1;
+        transport_.broadcast(Message{p});
+    }
+    Commit c;
+    c.view = view_;
+    c.seq = seq;
+    c.req_digest = req_digest;
+    c.replica = config_.id;
+    c.sig = crypto_.sign(c.signing_bytes());
+    stats_.commits_sent += 1;
+    transport_.broadcast(Message{c});
+}
+
+void Replica::resend_votes(Slot& s) {
+    const TimePoint now = sim_.now();
+    if (now - std::max(s.preprepare_at, s.resent_at) < config_.view_change_timeout) return;
+    s.resent_at = now;
+    if (s.preprepare->primary == config_.id) transport_.broadcast(Message{*s.preprepare});
+    if (const auto p = s.prepares.find(config_.id); p != s.prepares.end()) {
+        transport_.broadcast(Message{p->second});
+    }
+    if (const auto c = s.commits.find(config_.id); c != s.commits.end()) {
+        transport_.broadcast(Message{c->second});
+    }
 }
 
 void Replica::execute_ready() {

@@ -232,6 +232,10 @@ private:
         bool executed = false;
         std::size_t bytes = 0;
         TimePoint preprepare_at{};  ///< when the preprepare was accepted (RTT sampling)
+        // Re-sending lost votes (see resend_blocked_head in the .cpp).
+        TimePoint resent_at{};         ///< last re-send of this replica's votes
+        std::uint64_t late_votes = 0;  ///< replicas whose vote came after execution
+        View revoted_in = 0;           ///< later view this executed slot was voted in
     };
 
     // message handlers
@@ -252,6 +256,19 @@ private:
     void accept_preprepare(const PrePrepare& pp, const std::vector<crypto::Digest>& digests);
     void maybe_prepared(SeqNo seq);
     void maybe_committed(SeqNo seq);
+    /// Nothing executed for a view-change timeout while votes for later
+    /// seqs arrive: re-sends this replica's votes for the slot after
+    /// last_exec_.
+    void resend_blocked_head();
+    /// A vote for a seq this replica executed: a repeated one (a re-send)
+    /// or one from a later view is answered with this replica's votes.
+    enum class LateVote : std::uint8_t { kPrePrepare, kPrepare, kCommit };
+    void answer_late_vote(NodeId from, SeqNo seq, View view, const crypto::Digest& req_digest,
+                          LateVote kind);
+    /// Re-broadcasts this replica's stored votes for `s` (its preprepare
+    /// when it proposed it), at most once per view-change timeout after
+    /// the preprepare.
+    void resend_votes(Slot& s);
     void execute_ready();
     void execute(SeqNo seq, const std::vector<Request>& requests);
 

@@ -9,10 +9,11 @@
 // Ethernet, and an ~8.5 Mbit/s LTE link to cloud data centers.
 //
 // A Scenario is a one-train fleet::Fleet (built and linked in src/fleet):
-// the fleet builds the consist, hosts its data centers and runs the fault
-// plan and the audit and liveness ticks. The Scenario adds only what a
-// fleet does not do: the measurement window, memory sampling, the health
-// and time-series taps, and report().
+// the fleet builds the consist, hosts its data centers, runs the fault
+// plan and the audit tick, and its one sampling tick feeds the health
+// monitor, the time series and the liveness judge. The Scenario adds
+// only what a fleet does not do: the measurement window, memory sampling
+// and report().
 #pragma once
 
 #include <map>
@@ -129,9 +130,9 @@ struct ScenarioConfig : FaultPlan {
 
     /// Health taps (null = off; zero scheduling cost then). Every
     /// `sample_every_cycles` bus cycles (from the monitor's config, or
-    /// the time-series default below when only that is attached) the
-    /// scenario snapshots all nodes on the virtual clock and feeds the
-    /// watchdog monitor and/or the time-series sink.
+    /// the time-series default below otherwise) the fleet's sampling tick
+    /// snapshots all nodes on the virtual clock and feeds the watchdog
+    /// monitor, the time-series sink and the liveness judge.
     health::HealthMonitor* health_monitor = nullptr;
     health::TimeSeries* health_timeseries = nullptr;
     std::uint32_t timeseries_sample_cycles = 16;  ///< used without a monitor
@@ -143,13 +144,12 @@ struct ScenarioConfig : FaultPlan {
     faults::SafetyAuditor* auditor = nullptr;
     Duration audit_period{seconds(5)};
 
-    /// Liveness auditor (null = off). The harness lowers the fault
-    /// schedule into dark spans, samples cluster progress every
-    /// `liveness_period`, and the harness calls the auditor's finish()
-    /// after the run; zugchain_sim --audit-liveness maps a dirty report
-    /// to exit code 6.
+    /// Liveness auditor (null = off), configured by the caller. The fleet
+    /// lowers the fault schedule into its dark spans and feeds it the
+    /// sampling tick's snapshots; the caller calls finish() after the
+    /// run. zugchain_sim --audit-liveness maps a dirty report to exit
+    /// code 6.
     faults::LivenessAuditor* liveness = nullptr;
-    Duration liveness_period{seconds(2)};
 };
 
 struct NodeReport {
@@ -236,12 +236,9 @@ public:
 private:
     void start_measuring();
     void sample_memory();
-    void sample_health();
 
     std::unique_ptr<fleet::Fleet> fleet_;
     TrainShard* shard_ = nullptr;  ///< the fleet's only train
-
-    Duration health_period_{0};
 
     // measurement window bookkeeping
     bool measuring_ = false;

@@ -400,8 +400,10 @@ health::NodeSample TrainShard::snapshot_node(std::size_t i) const {
         s.logged = ls.logged;
         s.soft_timeouts = ls.soft_timeouts;
         s.hard_timeouts = ls.hard_timeouts;
+        s.open_requests = node.layer()->open_requests();
     } else {
         s.logged = rs.decided;  // baseline mode: every decide is a log
+        if (node.client() != nullptr) s.open_requests = node.client()->pending();
     }
     s.head_height = node.store().head_height();
     s.stable_height = node.replica().last_stable() / config_->block_size;

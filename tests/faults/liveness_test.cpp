@@ -17,8 +17,25 @@ LivenessConfig quick_cfg() {
     return cfg;
 }
 
-std::vector<LivenessNodeObs> all_alive(std::uint64_t head) {
-    return {{0, true, head}, {1, true, head}, {2, true, head}, {3, true, head}};
+health::NodeSample node(NodeId id, std::uint64_t decided, bool alive = true,
+                        std::uint64_t head = 0, std::uint64_t base = 0) {
+    health::NodeSample s;
+    s.node = id;
+    s.alive = alive;
+    s.decided = decided;
+    s.head_height = head;
+    s.base_height = base;
+    s.open_requests = 1;  // input is waiting: ordering owes progress
+    return s;
+}
+
+/// Four live replicas that all decided `decided` entries, with `head`
+/// blocks on the chain of which the last `backlog` are unexported.
+std::vector<health::NodeSample> all_alive(std::uint64_t decided, std::uint64_t head = 0,
+                                          std::uint64_t backlog = 0) {
+    std::vector<health::NodeSample> out;
+    for (NodeId i = 0; i < 4; ++i) out.push_back(node(i, decided, true, head, head - backlog));
+    return out;
 }
 
 TimePoint at(std::int64_t s) { return TimePoint{0} + seconds(s); }
@@ -67,13 +84,77 @@ TEST(LivenessAuditor, FlagsAWindowWithNoOrderingProgress) {
     audit.configure(quick_cfg());
     audit.set_schedule({}, {}, seconds(30));
     // Samples every 2 s, decided frozen at 5 the whole time.
-    for (int s = 0; s <= 30; s += 2) {
-        audit.observe(at(s), {5, 0, 0}, all_alive(5));
-    }
+    for (int s = 0; s <= 30; s += 2) audit.observe(at(s), all_alive(5), 0);
     audit.finish(at(30));
     ASSERT_EQ(audit.report().violations.size(), 1u);
     EXPECT_EQ(audit.report().violations[0].kind, LivenessViolationKind::kNoOrderingProgress);
     EXPECT_FALSE(audit.report().clean());
+}
+
+TEST(LivenessAuditor, FlagsAStallHalfwayThroughOneWindow) {
+    LivenessAuditor audit;
+    audit.configure(quick_cfg());
+    audit.set_schedule({}, {}, seconds(30));
+    // Ordering runs until 15 s, then freezes for the second half of the
+    // one window: its first and last snapshots differ, the stall is real.
+    for (int s = 0; s <= 30; ++s) {
+        audit.observe(at(s), all_alive(static_cast<std::uint64_t>(std::min(s, 15))), 0);
+    }
+    audit.finish(at(30));
+    ASSERT_EQ(audit.report().violations.size(), 1u);
+    const LivenessViolation& v = audit.report().violations[0];
+    EXPECT_EQ(v.kind, LivenessViolationKind::kNoOrderingProgress);
+    EXPECT_EQ(v.from, seconds(15));  // the last advance
+    EXPECT_EQ(v.to, seconds(30));    // the stall is open until the end
+}
+
+TEST(LivenessAuditor, AnIdleBusOwesNoProgress) {
+    LivenessAuditor audit;
+    audit.configure(quick_cfg());
+    audit.set_schedule({}, {}, seconds(30));
+    // A depot layover: nothing arrives between 10 s and 20 s, so nothing
+    // is ordered and nothing waits.
+    for (int s = 0; s <= 30; ++s) {
+        const auto decided = static_cast<std::uint64_t>(s < 10 ? s : (s < 20 ? 10 : s - 10));
+        std::vector<health::NodeSample> nodes = all_alive(decided);
+        for (health::NodeSample& n : nodes) n.open_requests = s >= 10 && s < 20 ? 0 : 1;
+        audit.observe(at(s), nodes, 0);
+    }
+    audit.finish(at(30));
+    EXPECT_TRUE(audit.report().clean()) << audit.report().json();
+}
+
+TEST(LivenessAuditor, OneFastReplicaIsNotAQuorumFrontier) {
+    LivenessAuditor audit;
+    audit.configure(quick_cfg());
+    audit.set_schedule({}, {}, seconds(30));
+    // Node 1 keeps deciding alone; the other three stand still, so no
+    // 2f+1 quorum ever reaches a new entry.
+    for (int s = 0; s <= 30; s += 2) {
+        std::vector<health::NodeSample> nodes = all_alive(13);
+        nodes[1].decided = static_cast<std::uint64_t>(13 + s);
+        audit.observe(at(s), nodes, 0);
+    }
+    audit.finish(at(30));
+    ASSERT_EQ(audit.report().violations.size(), 1u);
+    EXPECT_EQ(audit.report().violations[0].kind, LivenessViolationKind::kNoOrderingProgress);
+}
+
+TEST(LivenessAuditor, StallsAccrueOnlyQuorumCapableTime) {
+    LivenessAuditor audit;
+    audit.configure(quick_cfg());
+    // Nodes 1 and 2 dark in [10 s, 14 s): no quorum there. Decided stands
+    // still from 8 s to 16 s: 2 s before the gap plus 1 s past the next
+    // window's settle grace stay under min_window.
+    audit.set_schedule({{1, seconds(10), seconds(14)}, {2, seconds(10), seconds(14)}}, {},
+                       seconds(30));
+    for (int s = 0; s <= 30; ++s) {
+        const int decided = s < 8 ? s : (s < 16 ? 8 : s - 8);
+        audit.observe(at(s), all_alive(static_cast<std::uint64_t>(decided)), 0);
+    }
+    audit.finish(at(30));
+    EXPECT_TRUE(audit.report().clean()) << audit.report().json();
+    EXPECT_EQ(audit.report().windows_checked, 2u);
 }
 
 TEST(LivenessAuditor, CleanWhenHeightAdvances) {
@@ -81,8 +162,7 @@ TEST(LivenessAuditor, CleanWhenHeightAdvances) {
     audit.configure(quick_cfg());
     audit.set_schedule({}, {}, seconds(30));
     for (int s = 0; s <= 30; s += 2) {
-        audit.observe(at(s), {static_cast<std::uint64_t>(5 + s), 0, 0},
-                      all_alive(static_cast<std::uint64_t>(5 + s)));
+        audit.observe(at(s), all_alive(static_cast<std::uint64_t>(5 + s)), 0);
     }
     audit.finish(at(30));
     EXPECT_TRUE(audit.report().clean());
@@ -93,7 +173,7 @@ TEST(LivenessAuditor, ShortOrUnsampledWindowsAreNotJudged) {
     LivenessAuditor audit;
     audit.configure(quick_cfg());
     audit.set_schedule({}, {}, seconds(3));  // shorter than settle + min_window
-    audit.observe(at(1), {0, 0, 0}, all_alive(0));
+    audit.observe(at(1), all_alive(0), 0);
     audit.finish(at(3));
     EXPECT_TRUE(audit.report().clean());
     EXPECT_EQ(audit.report().windows_checked, 0u);
@@ -115,8 +195,8 @@ TEST(LivenessAuditor, ExportStuckFiresOnlyWithReachableUplink) {
     audit.configure(cfg);
     audit.set_schedule({}, {}, seconds(30));
     for (int s = 0; s <= 30; s += 2) {
-        audit.observe(at(s), {static_cast<std::uint64_t>(s + 1), 0, 8},
-                      all_alive(static_cast<std::uint64_t>(s + 1)));
+        const auto decided = static_cast<std::uint64_t>(s + 1);
+        audit.observe(at(s), all_alive(decided, decided + 8, 8), 0);
     }
     audit.finish(at(30));
     ASSERT_EQ(audit.report().violations.size(), 1u);
@@ -127,8 +207,8 @@ TEST(LivenessAuditor, ExportStuckFiresOnlyWithReachableUplink) {
     excused.configure(cfg);
     excused.set_schedule({}, {{Duration{0}, seconds(30)}}, seconds(30));
     for (int s = 0; s <= 30; s += 2) {
-        excused.observe(at(s), {static_cast<std::uint64_t>(s + 1), 0, 8},
-                        all_alive(static_cast<std::uint64_t>(s + 1)));
+        const auto decided = static_cast<std::uint64_t>(s + 1);
+        excused.observe(at(s), all_alive(decided, decided + 8, 8), 0);
     }
     excused.finish(at(30));
     EXPECT_TRUE(excused.report().clean());
@@ -141,13 +221,10 @@ TEST(LivenessAuditor, RejoinIncompleteFiresAfterTheBound) {
     // Node 3 down, restarts at 6 s, never catches up (head stays 1 while
     // the cluster reaches 40).
     for (int s = 0; s <= 30; s += 2) {
-        std::vector<LivenessNodeObs> nodes = all_alive(static_cast<std::uint64_t>(10 + s));
-        if (s < 6) {
-            nodes[3] = {3, false, 1};
-        } else {
-            nodes[3] = {3, true, 1};
-        }
-        audit.observe(at(s), {static_cast<std::uint64_t>(10 + s), 0, 0}, nodes);
+        const auto head = static_cast<std::uint64_t>(10 + s);
+        std::vector<health::NodeSample> nodes = all_alive(head, head);
+        nodes[3] = node(3, 1, /*alive=*/s >= 6, 1);
+        audit.observe(at(s), nodes, 0);
     }
     audit.finish(at(30));
     bool rejoin_violation = false;
@@ -166,13 +243,13 @@ TEST(LivenessAuditor, RejoinThatCatchesUpIsClean) {
     audit.set_schedule({{3, seconds(2), seconds(6)}}, {}, seconds(30));
     for (int s = 0; s <= 30; s += 2) {
         const std::uint64_t head = static_cast<std::uint64_t>(10 + s);
-        std::vector<LivenessNodeObs> nodes = all_alive(head);
+        std::vector<health::NodeSample> nodes = all_alive(head, head);
         if (s < 6) {
-            nodes[3] = {3, false, 1};
+            nodes[3] = node(3, 1, false, 1);
         } else if (s < 10) {
-            nodes[3] = {3, true, head / 2};  // catching up
+            nodes[3] = node(3, head / 2, true, head / 2);  // catching up
         }  // from 10 s on it matches the cluster head
-        audit.observe(at(s), {head, 0, 0}, nodes);
+        audit.observe(at(s), nodes, 0);
     }
     audit.finish(at(30));
     EXPECT_TRUE(audit.report().clean());
@@ -182,7 +259,7 @@ TEST(LivenessAuditor, FinishIsIdempotentAndJsonIsStable) {
     LivenessAuditor audit;
     audit.configure(quick_cfg());
     audit.set_schedule({}, {}, seconds(30));
-    for (int s = 0; s <= 30; s += 2) audit.observe(at(s), {5, 0, 0}, all_alive(5));
+    for (int s = 0; s <= 30; s += 2) audit.observe(at(s), all_alive(5), 0);
     audit.finish(at(30));
     const std::string first = audit.report().json();
     audit.finish(at(30));

@@ -305,5 +305,50 @@ TEST(GrayChaos, RejectsDegenerateWindows) {
     EXPECT_THROW(compile_gray(zero), std::invalid_argument);
 }
 
+TEST(FleetLiveness, EveryTrainIsJudgedAndOnlyTheStalledOneFails) {
+    // Train 1 limps on every node under the fixed timers (the CLI's
+    // `--gray consist --fixed-timeouts`): every view thrashes and
+    // ordering freezes. Train 0 runs clean beside it.
+    FleetConfig cfg;
+    cfg.trains = 2;
+    cfg.dc_count = 0;
+    cfg.duration = seconds(30);
+    cfg.audit = true;
+    GrayChaosOptions go;
+    go.trains = 2;
+    go.horizon = cfg.warmup + cfg.duration;
+    go.warmup = cfg.warmup;
+    go.limping = go.n;
+    go.limp_factor = 10.0;
+    go.flapping = 0;
+    go.creeps = 0;
+    cfg.faults.trains[1] = compile_gray(go).faults.trains.at(1);
+
+    Fleet fleet(cfg);
+    fleet.run();
+    ASSERT_NE(fleet.liveness(0), nullptr);
+    ASSERT_NE(fleet.liveness(1), nullptr);
+    EXPECT_TRUE(fleet.liveness(0)->report().clean()) << fleet.liveness(0)->report().json();
+    const auto& stalled = fleet.liveness(1)->report().violations;
+    ASSERT_FALSE(stalled.empty());
+    EXPECT_EQ(stalled[0].kind, faults::LivenessViolationKind::kNoOrderingProgress);
+
+    const FleetReport report = fleet.report();
+    EXPECT_EQ(report.per_train[0].liveness_violations, 0u);
+    EXPECT_EQ(report.per_train[1].liveness_violations, stalled.size());
+    EXPECT_EQ(report.liveness_violations, stalled.size());
+    EXPECT_EQ(report.audit_violations, 0u);
+}
+
+TEST(FleetLiveness, WithoutAuditOrATemplateJudgeNoTrainIsJudged) {
+    FleetConfig cfg;
+    cfg.trains = 2;
+    cfg.dc_count = 0;
+    cfg.duration = seconds(1);
+    Fleet fleet(cfg);
+    EXPECT_EQ(fleet.liveness(0), nullptr);
+    EXPECT_EQ(fleet.liveness(1), nullptr);
+}
+
 }  // namespace
 }  // namespace zc::fleet

@@ -19,6 +19,8 @@
 // is the same machinery with one train). Reuses --seed, --cycle-ms,
 // --payload, --block-size, --batch-size, --duration-s, --crypto,
 // --store-dir (per-train subdirectories DIR/train-<t>/node-<i>), --audit,
+// --audit-liveness (implies --audit, which judges every train's liveness;
+// this flag makes a violation exit 6 and prints the per-train reports),
 // --prof, --fail-on-alarm, --json and --trace (one merged Perfetto/Chrome
 // trace: train t node i at pid 1000*t+i, so train 0 keeps the
 // single-consist pids; shared DCs at pid 100+d, including DC ingest-queue
@@ -76,9 +78,10 @@
 // reported by the --audit auditor (dominates 1 and 3; soaks always
 // audit), 5 bounded-memory violation in soak mode (a chain, queue, log
 // or timer population that kept growing past its plateau), 6 liveness
-// violations reported by the --audit-liveness auditor (a quorum-capable
-// window with no ordering progress, a stuck export, or a rejoin that
-// never caught up; safety's 4 dominates it).
+// violations reported by the --audit-liveness auditor, on any train of a
+// fleet (ordering that stood still through a quorum-capable stretch, a
+// stuck export, or a rejoin that never caught up; safety's 4 dominates
+// it).
 //
 // Gray failures (--gray PROFILE) compile a deterministic gray-chaos
 // schedule onto the run (src/fleet/chaos): "limping" throttles the
@@ -182,6 +185,7 @@ struct Args {
                      "          [--fleet N] [--fleet-dcs N] [--fleet-chaos]\n"
                      "          [--export-period-s S] [--trains-per-cell N]\n"
                      "          [--rollup FILE.csv|FILE.json] [--jobs N]\n"
+                     "          (--fleet: --audit-liveness implies --audit, judges every train)\n"
                      "          [--soak HOURS] [--journey SEED] [--soak-segment-s S]\n"
                      "          [--soak-recipes N] [--soak-day-s S]\n",
                      argv0);
@@ -477,6 +481,20 @@ int run_soak_mode(const Args& args) {
     return report.exit_code();
 }
 
+void print_liveness(const faults::LivenessReport& live) {
+    std::printf("quorum-capable windows  : %llu (%llu checked, %llu assertions)\n",
+                static_cast<unsigned long long>(live.windows),
+                static_cast<unsigned long long>(live.windows_checked),
+                static_cast<unsigned long long>(live.checks));
+    std::printf("violations              : %zu\n", live.violations.size());
+    for (const faults::LivenessViolation& v : live.violations) {
+        std::printf("  %s [%.1f s, %.1f s] node %d: %s\n",
+                    faults::liveness_violation_name(v.kind), to_seconds(v.from),
+                    to_seconds(v.to), v.node == kNoNode ? -1 : static_cast<int>(v.node),
+                    v.detail.c_str());
+    }
+}
+
 /// Fleet mode: N shards, shared DCs, one deterministic report. The JSON
 /// output (--json) is byte-identical across same-seed runs so CI can cmp
 /// two invocations for the determinism gate.
@@ -490,7 +508,7 @@ int run_fleet(const Args& args) {
     cfg.export_period = millis_f(args.export_period_s * 1000.0);
     cfg.duration = args.cfg.duration;
     cfg.store_root = std::exchange(cfg.train.store_root, std::nullopt);
-    cfg.audit = args.audit;
+    cfg.audit = args.audit || args.audit_liveness;
     cfg.jobs = args.jobs;
     if (cfg.dc_count > 0) {
         cfg.train.delete_quorum = std::max<std::size_t>(
@@ -544,12 +562,22 @@ int run_fleet(const Args& args) {
 
     int rc = report.cross_shard_collisions == 0 ? 0 : 1;
     if (rc == 0 && args.fail_on_alarm && report.alarms.total_never_cleared > 0) rc = 3;
-    if (args.audit && report.audit_violations > 0) rc = 4;
+    if (args.audit_liveness && report.liveness_violations > 0) rc = 6;
+    if (cfg.audit && report.audit_violations > 0) rc = 4;
 
     if (args.json) {
         // The host block is the last key so the virtual-content prefix of
         // the line stays byte-identical across same-seed --prof runs.
         std::string out = report.json();
+        if (args.audit_liveness) {
+            out.pop_back();  // '}'
+            out += ",\"liveness\":[";
+            for (std::uint32_t t = 0; t < cfg.trains; ++t) {
+                if (t != 0) out += ",";
+                out += fleet.liveness(t)->report().json();
+            }
+            out += "]}";
+        }
         if (profiler != nullptr) {
             out.pop_back();  // '}'
             out += ",\"host\":" + profiler->snapshot().json() + "}";
@@ -565,7 +593,7 @@ int run_fleet(const Args& args) {
                 args.cfg.payload_size, args.export_period_s, to_seconds(cfg.duration),
                 static_cast<unsigned long long>(cfg.seed),
                 args.fleet_chaos ? " chaos=staggered" : "",
-                args.audit ? " audit=on" : "");
+                cfg.audit ? " audit=on" : "");
 
     std::printf("\n-- fleet --\n");
     std::printf("logged (unique, fleet)  : %llu\n",
@@ -583,9 +611,11 @@ int run_fleet(const Args& args) {
     std::printf("alarms fired / stuck    : %llu / %llu\n",
                 static_cast<unsigned long long>(report.alarms.total_fired),
                 static_cast<unsigned long long>(report.alarms.total_never_cleared));
-    if (args.audit) {
+    if (cfg.audit) {
         std::printf("audit violations        : %llu\n",
                     static_cast<unsigned long long>(report.audit_violations));
+        std::printf("liveness violations     : %llu\n",
+                    static_cast<unsigned long long>(report.liveness_violations));
     }
 
     std::printf("\n-- per train --\n");
@@ -599,6 +629,13 @@ int run_fleet(const Args& args) {
                     static_cast<unsigned long long>(t.exports_completed),
                     static_cast<unsigned long long>(t.exports_failed),
                     static_cast<unsigned long long>(t.active_alarms));
+    }
+
+    if (args.audit_liveness) {
+        for (std::uint32_t t = 0; t < cfg.trains; ++t) {
+            std::printf("\n-- liveness audit, train %u --\n", t);
+            print_liveness(fleet.liveness(t)->report());
+        }
     }
 
     if (profiler != nullptr) profiler->snapshot().print_table(stdout);
@@ -689,7 +726,7 @@ constexpr struct {
     {"--health", kFleet | kSoak},
     {"--timeseries", kFleet | kSoak},
     {"--metrics", kFleet | kSoak},
-    {"--audit-liveness", kFleet | kSoak},
+    {"--audit-liveness", kSoak},
     {"--trace", kSoak},
     {"--gray", kSoak},
     {"--gray-limp", kSoak},
@@ -1051,17 +1088,7 @@ int main(int argc, char** argv) {
     if (args.audit_liveness) {
         const faults::LivenessReport& live = liveness.report();
         std::printf("\n-- liveness audit --\n");
-        std::printf("quorum-capable windows  : %llu (%llu checked, %llu assertions)\n",
-                    static_cast<unsigned long long>(live.windows),
-                    static_cast<unsigned long long>(live.windows_checked),
-                    static_cast<unsigned long long>(live.checks));
-        std::printf("violations              : %zu\n", live.violations.size());
-        for (const faults::LivenessViolation& v : live.violations) {
-            std::printf("  %s [%.1f s, %.1f s] node %d: %s\n",
-                        faults::liveness_violation_name(v.kind), to_seconds(v.from),
-                        to_seconds(v.to), v.node == kNoNode ? -1 : static_cast<int>(v.node),
-                        v.detail.c_str());
-        }
+        print_liveness(live);
     }
 
     if (args.prof) profiler.snapshot().print_table(stdout);
