@@ -7,17 +7,6 @@ namespace zc::chain {
 
 namespace {
 
-/// The one leaf layout, shared by encode() and digest(): `Out` is a
-/// codec::Writer or a LeafHasher.
-template <typename Out>
-void put_fields(const LoggedRequest& req, Out& out) {
-    out.bytes(req.payload);
-    out.u32(req.origin);
-    out.u64(req.seq);
-    out.u64(req.origin_seq);
-    out.raw(req.sig.v);
-}
-
 /// Hashes the bytes a codec::Writer would append into a Merkle leaf as
 /// they are produced, so a leaf needs no encoded copy of its request.
 class LeafHasher {
@@ -47,40 +36,10 @@ private:
 
 }  // namespace
 
-void LoggedRequest::encode(codec::Writer& w) const { put_fields(*this, w); }
-
-LoggedRequest LoggedRequest::decode(codec::Reader& r) {
-    LoggedRequest req;
-    req.payload = r.bytes();
-    req.origin = r.u32();
-    req.seq = r.u64();
-    req.origin_seq = r.u64();
-    req.sig.v = r.raw_array<64>();
-    return req;
-}
-
 crypto::Digest LoggedRequest::digest() const {
     LeafHasher h;
-    put_fields(*this, h);
+    codec::encode(h, *this);
     return h.finalize();
-}
-
-void BlockHeader::encode(codec::Writer& w) const {
-    w.u64(height);
-    w.raw(parent_hash);
-    w.i64(timestamp_ns);
-    w.raw(payload_root);
-    w.u32(request_count);
-}
-
-BlockHeader BlockHeader::decode(codec::Reader& r) {
-    BlockHeader h;
-    h.height = r.u64();
-    h.parent_hash = r.raw_array<32>();
-    h.timestamp_ns = r.i64();
-    h.payload_root = r.raw_array<32>();
-    h.request_count = r.u32();
-    return h;
 }
 
 crypto::Digest BlockHeader::hash() const {
@@ -108,22 +67,6 @@ bool Block::payload_valid() const {
     leaves.reserve(requests.size());
     for (const LoggedRequest& req : requests) leaves.push_back(req.digest());
     return merkle_root(leaves) == header.payload_root;
-}
-
-void Block::encode(codec::Writer& w) const {
-    header.encode(w);
-    w.varint(requests.size());
-    for (const LoggedRequest& req : requests) req.encode(w);
-}
-
-Block Block::decode(codec::Reader& r) {
-    Block b;
-    b.header = BlockHeader::decode(r);
-    const std::uint64_t count = r.varint();
-    if (count > 1u << 20) throw codec::DecodeError("implausible request count in block");
-    b.requests.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) b.requests.push_back(LoggedRequest::decode(r));
-    return b;
 }
 
 std::size_t Block::size_bytes() const noexcept {

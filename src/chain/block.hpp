@@ -17,6 +17,9 @@
 
 namespace zc::chain {
 
+/// Decode bound on a block's request count.
+inline constexpr std::size_t kMaxBlockRequests = 1u << 20;
+
 /// A totally ordered, logged request. Carries the origin's request
 /// signature so the chain itself is juridical evidence: any party holding
 /// the deployment's key directory can re-verify who injected each input
@@ -28,8 +31,12 @@ struct LoggedRequest {
     std::uint64_t origin_seq = 0;   ///< origin's uniqueifier (bus cycle)
     crypto::Signature sig{};        ///< origin's signature over the request
 
-    void encode(codec::Writer& w) const;
-    static LoggedRequest decode(codec::Reader& r);
+    /// The origin's signature is a logged field, part of the leaf.
+    template <class F>
+    void fields(F& f) {
+        f(payload, origin, seq, origin_seq, sig.v);
+    }
+    ZC_CODEC_FIELDS(LoggedRequest)
 
     /// Digest used as the request's Merkle leaf.
     crypto::Digest digest() const;
@@ -46,8 +53,11 @@ struct BlockHeader {
     crypto::Digest payload_root{};
     std::uint32_t request_count = 0;
 
-    void encode(codec::Writer& w) const;
-    static BlockHeader decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(height, parent_hash, timestamp_ns, payload_root, request_count);
+    }
+    ZC_CODEC_FIELDS(BlockHeader)
 
     /// The block id: SHA-256 over the encoded header.
     crypto::Digest hash() const;
@@ -68,8 +78,11 @@ struct Block {
 
     crypto::Digest hash() const { return header.hash(); }
 
-    void encode(codec::Writer& w) const;
-    static Block decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(header, codec::list<kMaxBlockRequests>(requests));
+    }
+    ZC_CODEC_FIELDS(Block)
 
     std::size_t size_bytes() const noexcept;
 

@@ -104,20 +104,6 @@ bool extends(Height from_height, const crypto::Digest& from_hash, std::vector<Bl
                            [](const Block&) {});
 }
 
-void PruneAnchor::encode(codec::Writer& w) const {
-    w.u64(base_height);
-    w.raw(base_hash);
-    w.bytes(evidence);
-}
-
-PruneAnchor PruneAnchor::decode(codec::Reader& r) {
-    PruneAnchor a;
-    a.base_height = r.u64();
-    a.base_hash = r.raw_array<32>();
-    a.evidence = r.bytes();
-    return a;
-}
-
 BlockStore::BlockStore(metrics::Gauge* gauge, std::optional<std::filesystem::path> dir)
     : gauge_(gauge), dir_(std::move(dir)) {
     if (dir_) std::filesystem::create_directories(*dir_);

@@ -35,8 +35,11 @@ struct PruneAnchor {
     crypto::Digest base_hash{};
     Bytes evidence;
 
-    void encode(codec::Writer& w) const;
-    static PruneAnchor decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(base_height, base_hash, evidence);
+    }
+    ZC_CODEC_FIELDS(PruneAnchor)
 };
 
 /// What `BlockStore::load` found (and discarded) while restoring a store

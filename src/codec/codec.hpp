@@ -1,11 +1,18 @@
 // Compact binary wire format (protobuf-style primitives: LEB128 varints,
-// fixed-width little-endian integers, length-delimited byte strings).
+// fixed-width little-endian integers, length-delimited byte strings) and
+// the field visitors every wire message is built from.
 //
-// Every protocol message implements
+// A wire type declares its fields once, in order:
+//     template <class F> void fields(F& f) { f(view, seq, req_digest, replica); }
+// plus ZC_CODEC_FIELDS(T), or ZC_CODEC_SIGNED(T, "label") for a type with a
+// trailing `sig`. Encoder, Decoder and signing_bytes below derive
 //     void encode(codec::Writer&) const;
 //     static T decode(codec::Reader&);
-// Decoding malformed input throws codec::DecodeError, which the transport
-// layer treats as a Byzantine/corrupt message and drops.
+//     Bytes signing_bytes() const;   // signed types: str(label) + fields
+// from that one list; a signed type's signature follows its fields on the
+// wire and is never part of them. Decoding malformed input throws
+// codec::DecodeError, which the transport layer treats as a
+// Byzantine/corrupt message and drops.
 #pragma once
 
 #include <array>
@@ -13,6 +20,11 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "prof/prof.hpp"
@@ -133,6 +145,277 @@ private:
     BytesView data_;
     std::size_t pos_ = 0;
 };
+
+// ---- Field declarations ---------------------------------------------------
+//
+// A field's C++ type picks its wire form:
+//   bool, std::uint8_t, a one-byte enum    1 byte (a bool decodes non-zero as true)
+//   std::uint32_t, std::uint64_t, int64_t  fixed-width little endian
+//   std::array<std::uint8_t, N>            N raw bytes (digests, signatures)
+//   Bytes                                  varint length + bytes
+//   std::optional<T>                       u8 presence flag, then T
+//   a type with fields()                   its full encoding, signature included
+//   list<Max, Min>(vector)                 varint count + elements; decoding
+//                                          rejects a count outside [Min, Max]
+//   unsigned_field(x)                      x, but left out of signing_bytes()
+//   format(selector)                       a layout byte; see Format
+
+/// A counted list whose decode bound is declared at the field.
+template <std::size_t Min, std::size_t Max, class V>
+struct List {
+    V& items;
+};
+template <std::size_t Max, std::size_t Min = 0, class V>
+List<Min, Max, V> list(V& items) {
+    return {items};
+}
+
+/// A field encoded and decoded as usual but not covered by the signature
+/// (something else signed binds it).
+template <class T>
+struct Unsigned {
+    T field;
+};
+template <class T>
+Unsigned<T> unsigned_field(T&& field) {
+    return {std::forward<T>(field)};
+}
+
+/// A leading byte choosing between a type's layouts, which later fields
+/// read. Containers write it; a transport tag stands for it instead
+/// (Framing::kTagged); signed bytes leave it out.
+struct Format {
+    std::uint8_t& selector;
+};
+inline Format format(std::uint8_t& selector) { return {selector}; }
+
+namespace detail {
+template <class T>
+inline constexpr bool is_byte_array = false;
+template <std::size_t N>
+inline constexpr bool is_byte_array<std::array<std::uint8_t, N>> = true;
+}  // namespace detail
+
+/// A type declared with ZC_CODEC_SIGNED: a label and a trailing `sig`.
+template <class T>
+concept SignedWireType = requires { T::kSigLabel; };
+
+/// Where an encoding goes: a container (every field), behind a transport
+/// tag (no Format byte), or into signed bytes (no Format, no Unsigned).
+enum class Framing : std::uint8_t { kContainer, kTagged, kSigned };
+
+template <class Out>
+void encode(Out& out, const auto& m, Framing framing = Framing::kContainer);
+
+/// Appends fields to a sink with Writer's primitives (a Writer, a Sizer,
+/// a streaming hasher).
+template <class Out>
+class Encoder {
+public:
+    explicit Encoder(Out& out, Framing framing = Framing::kContainer)
+        : out_(out), framing_(framing) {}
+
+    template <class... Ts>
+    void operator()(const Ts&... fields) {
+        (put(fields), ...);
+    }
+
+private:
+    template <class T>
+    void put(const T& v) {
+        if constexpr (std::is_same_v<T, bool>) out_.u8(v ? 1 : 0);
+        else if constexpr (std::is_enum_v<T>) put(static_cast<std::underlying_type_t<T>>(v));
+        else if constexpr (std::is_same_v<T, std::uint8_t>) out_.u8(v);
+        else if constexpr (std::is_same_v<T, std::uint32_t>) out_.u32(v);
+        else if constexpr (std::is_same_v<T, std::uint64_t>) out_.u64(v);
+        else if constexpr (std::is_same_v<T, std::int64_t>) out_.u64(static_cast<std::uint64_t>(v));
+        else if constexpr (detail::is_byte_array<T>) out_.raw(v);
+        else if constexpr (std::is_same_v<T, Bytes>) out_.bytes(v);
+        else encode(out_, v);
+    }
+    template <class T>
+    void put(const std::optional<T>& v) {
+        out_.u8(v ? 1 : 0);
+        if (v) put(*v);
+    }
+    template <std::size_t Min, std::size_t Max, class V>
+    void put(const List<Min, Max, V>& list) {
+        out_.varint(list.items.size());
+        for (const auto& item : list.items) put(item);
+    }
+    template <class T>
+    void put(const Unsigned<T>& v) {
+        if (framing_ != Framing::kSigned) put(v.field);
+    }
+    void put(const Format& v) {
+        if (framing_ == Framing::kContainer) out_.u8(v.selector);
+    }
+
+    Out& out_;
+    Framing framing_;
+};
+
+/// Encodes `m`: its fields, then its signature if it is a signed type. A
+/// nested message is always encoded whole, whatever the outer framing.
+template <class Out>
+void encode(Out& out, const auto& m, Framing framing) {
+    using T = std::remove_cvref_t<decltype(m)>;
+    Encoder<Out> enc(out, framing);
+    // fields() is non-const so that Decoder can share it; an Encoder
+    // only reads the members it is handed.
+    const_cast<T&>(m).fields(enc);
+    if constexpr (SignedWireType<T>) {
+        if (framing != Framing::kSigned) out.raw(m.sig.v);
+    }
+}
+
+/// A sink that only counts the bytes a Writer would append.
+struct Sizer {
+    std::size_t size = 0;
+    void u8(std::uint8_t) { size += 1; }
+    void u32(std::uint32_t) { size += 4; }
+    void u64(std::uint64_t) { size += 8; }
+    void varint(std::uint64_t v) { size += varint_size(v); }
+    void bytes(BytesView v) { size += varint_size(v.size()) + v.size(); }
+    void str(std::string_view v) { size += varint_size(v.size()) + v.size(); }
+    template <std::size_t N>
+    void raw(const std::array<std::uint8_t, N>&) {
+        size += N;
+    }
+};
+
+/// The bytes a signed type's signature covers: str(kSigLabel), then the
+/// fields without Format and Unsigned ones, in a buffer sized up front.
+template <SignedWireType T>
+Bytes signing_bytes(const T& m) {
+    Sizer sizer;
+    sizer.str(T::kSigLabel);
+    encode(sizer, m, Framing::kSigned);
+    Writer w(sizer.size);
+    w.str(T::kSigLabel);
+    encode(w, m, Framing::kSigned);
+    return w.take();
+}
+
+/// Reads fields in declaration order, each in place.
+class Decoder {
+public:
+    /// `format` is the Format selector a transport tag stood for.
+    explicit Decoder(Reader& r, std::optional<std::uint8_t> format = std::nullopt)
+        : r_(r), format_(format) {}
+
+    template <class... Ts>
+    void operator()(Ts&&... fields) {
+        (get(fields), ...);
+    }
+
+    /// Decodes `m` in place: fields, then the signature of a signed type.
+    template <class T>
+    static void read(Reader& r, T& m, std::optional<std::uint8_t> format = std::nullopt) {
+        Decoder dec(r, format);
+        m.fields(dec);
+        if constexpr (SignedWireType<T>) r.raw(m.sig.v.data(), m.sig.v.size());
+    }
+
+private:
+    template <class T>
+    void get(T& v) {
+        if constexpr (std::is_same_v<T, bool>) v = r_.u8() != 0;
+        else if constexpr (std::is_enum_v<T>) {
+            std::underlying_type_t<T> raw{};
+            get(raw);
+            v = static_cast<T>(raw);
+        } else if constexpr (std::is_same_v<T, std::uint8_t>) v = r_.u8();
+        else if constexpr (std::is_same_v<T, std::uint32_t>) v = r_.u32();
+        else if constexpr (std::is_same_v<T, std::uint64_t>) v = r_.u64();
+        else if constexpr (std::is_same_v<T, std::int64_t>) v = r_.i64();
+        else if constexpr (detail::is_byte_array<T>) r_.raw(v.data(), v.size());
+        else if constexpr (std::is_same_v<T, Bytes>) v = r_.bytes();
+        else read(r_, v);
+    }
+    template <class T>
+    void get(std::optional<T>& v) {
+        if (r_.u8() != 0) read(r_, v.emplace());
+    }
+    template <std::size_t Min, std::size_t Max, class V>
+    void get(List<Min, Max, V>& list) {
+        const std::uint64_t count = r_.varint();
+        if (count < Min || count > Max) throw DecodeError("list count out of bounds");
+        list.items.reserve(count);
+        for (std::uint64_t i = 0; i < count; ++i) get(list.items.emplace_back());
+    }
+    template <class T>
+    void get(Unsigned<T>& v) {
+        get(v.field);
+    }
+    void get(Format& v) { v.selector = format_ ? *format_ : r_.u8(); }
+
+    Reader& r_;
+    std::optional<std::uint8_t> format_;
+};
+
+template <class T>
+T decode(Reader& r, std::optional<std::uint8_t> format = std::nullopt) {
+    T m;
+    Decoder::read(r, m, format);
+    return m;
+}
+
+// ---- Transport framing -----------------------------------------------------
+//
+// [u8 tag][message] over a std::variant of wire types. A message's tag is
+// 1 + its index in the variant and stands for Format selector 1; a channel
+// may give another layout of one alternative a tag of its own.
+
+template <class V>
+std::uint8_t tag_of(const V& m) {
+    return static_cast<std::uint8_t>(m.index() + 1);
+}
+
+template <class V>
+Bytes encode_tagged(const V& m, std::uint8_t tag, std::size_t reserve) {
+    Writer w(reserve);
+    w.u8(tag);
+    std::visit([&w](const auto& msg) { encode(w, msg, Framing::kTagged); }, m);
+    return w.take();
+}
+
+/// Decodes `body` as a T in layout `format`, held in a V; nullopt on
+/// malformed input or trailing bytes.
+template <class V, class T>
+std::optional<V> decode_as(BytesView body, std::uint8_t format) noexcept {
+    try {
+        Reader r(body);
+        T m = decode<T>(r, format);
+        r.expect_done();
+        return V{std::move(m)};
+    } catch (const DecodeError&) {
+        return std::nullopt;
+    }
+}
+
+/// Decodes [tag][message] for the tags tag_of assigns.
+template <class V, std::size_t I = 0>
+std::optional<V> decode_tagged(BytesView data) noexcept {
+    if constexpr (I == std::variant_size_v<V>) {
+        return std::nullopt;
+    } else {
+        if (data.empty()) return std::nullopt;
+        if (data[0] != I + 1) return decode_tagged<V, I + 1>(data);
+        return decode_as<V, std::variant_alternative_t<I, V>>(data.subspan(1), 1);
+    }
+}
+
+/// Declares a wire type's encode/decode members, derived from its fields().
+#define ZC_CODEC_FIELDS(T)                                                           \
+    void encode(::zc::codec::Writer& w) const { ::zc::codec::encode(w, *this); }    \
+    static T decode(::zc::codec::Reader& r) { return ::zc::codec::decode<T>(r); }
+
+/// ZC_CODEC_FIELDS plus a signed type's label and signing_bytes().
+#define ZC_CODEC_SIGNED(T, label)                                                    \
+    ZC_CODEC_FIELDS(T)                                                               \
+    static constexpr std::string_view kSigLabel = label;                             \
+    ::zc::Bytes signing_bytes() const { return ::zc::codec::signing_bytes(*this); }
 
 /// Round-trip helpers for message types with encode/decode members.
 /// These are the codec choke points every wire message funnels through,

@@ -2,303 +2,25 @@
 
 namespace zc::exporter {
 
-namespace {
-
-constexpr std::size_t kMaxBlocksPerMessage = 1u << 16;
-
-void encode_sig(codec::Writer& w, const crypto::Signature& sig) { w.raw(sig.v); }
-
-crypto::Signature decode_sig(codec::Reader& r) {
-    crypto::Signature sig;
-    sig.v = r.raw_array<64>();
-    return sig;
-}
-
-void encode_blocks(codec::Writer& w, const std::vector<chain::Block>& blocks) {
-    w.varint(blocks.size());
-    for (const chain::Block& b : blocks) b.encode(w);
-}
-
-std::vector<chain::Block> decode_blocks(codec::Reader& r) {
-    const std::uint64_t count = r.varint();
-    if (count > kMaxBlocksPerMessage) throw codec::DecodeError("oversized block batch");
-    std::vector<chain::Block> out;
-    out.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) out.push_back(chain::Block::decode(r));
-    return out;
-}
-
-}  // namespace
-
-Bytes ReadRequest::signing_bytes() const {
-    codec::Writer w(32);
-    w.str("exp-read");
-    w.u32(dc);
-    w.u64(last_height);
-    w.u32(full_from);
-    return w.take();
-}
-
-void ReadRequest::encode(codec::Writer& w) const {
-    w.u32(dc);
-    w.u64(last_height);
-    w.u32(full_from);
-    encode_sig(w, sig);
-}
-
-ReadRequest ReadRequest::decode(codec::Reader& r) {
-    ReadRequest m;
-    m.dc = r.u32();
-    m.last_height = r.u64();
-    m.full_from = r.u32();
-    m.sig = decode_sig(r);
-    return m;
-}
-
-Bytes ReadReply::signing_bytes() const {
-    codec::Writer w(256);
-    w.str("exp-reply");
-    w.u32(replica);
-    proof.encode(w);
-    encode_blocks(w, blocks);
-    return w.take();
-}
-
-void ReadReply::encode(codec::Writer& w) const {
-    w.u32(replica);
-    proof.encode(w);
-    encode_blocks(w, blocks);
-    encode_sig(w, sig);
-}
-
-ReadReply ReadReply::decode(codec::Reader& r) {
-    ReadReply m;
-    m.replica = r.u32();
-    m.proof = pbft::CheckpointProof::decode(r);
-    m.blocks = decode_blocks(r);
-    m.sig = decode_sig(r);
-    return m;
-}
-
-Bytes BlockFetch::signing_bytes() const {
-    codec::Writer w(32);
-    w.str("exp-fetch");
-    w.u32(dc);
-    w.u64(from);
-    w.u64(to);
-    return w.take();
-}
-
-void BlockFetch::encode(codec::Writer& w) const {
-    w.u32(dc);
-    w.u64(from);
-    w.u64(to);
-    encode_sig(w, sig);
-}
-
-BlockFetch BlockFetch::decode(codec::Reader& r) {
-    BlockFetch m;
-    m.dc = r.u32();
-    m.from = r.u64();
-    m.to = r.u64();
-    m.sig = decode_sig(r);
-    return m;
-}
-
-Bytes BlockFetchReply::signing_bytes() const {
-    codec::Writer w(128);
-    w.str("exp-fetch-reply");
-    w.u32(replica);
-    encode_blocks(w, blocks);
-    return w.take();
-}
-
-void BlockFetchReply::encode(codec::Writer& w) const {
-    w.u32(replica);
-    encode_blocks(w, blocks);
-    encode_sig(w, sig);
-}
-
-BlockFetchReply BlockFetchReply::decode(codec::Reader& r) {
-    BlockFetchReply m;
-    m.replica = r.u32();
-    m.blocks = decode_blocks(r);
-    m.sig = decode_sig(r);
-    return m;
-}
-
-Bytes DcSync::signing_bytes() const {
-    codec::Writer w(256);
-    w.str("exp-sync");
-    w.u32(from);
-    proof.encode(w);
-    encode_blocks(w, blocks);
-    return w.take();
-}
-
-void DcSync::encode(codec::Writer& w) const {
-    w.u32(from);
-    proof.encode(w);
-    encode_blocks(w, blocks);
-    encode_sig(w, sig);
-}
-
-DcSync DcSync::decode(codec::Reader& r) {
-    DcSync m;
-    m.from = r.u32();
-    m.proof = pbft::CheckpointProof::decode(r);
-    m.blocks = decode_blocks(r);
-    m.sig = decode_sig(r);
-    return m;
-}
-
-Bytes DcFetch::signing_bytes() const {
-    codec::Writer w(32);
-    w.str("exp-dcfetch");
-    w.u32(from_dc);
-    w.u64(from);
-    w.u64(to);
-    return w.take();
-}
-
-void DcFetch::encode(codec::Writer& w) const {
-    w.u32(from_dc);
-    w.u64(from);
-    w.u64(to);
-    encode_sig(w, sig);
-}
-
-DcFetch DcFetch::decode(codec::Reader& r) {
-    DcFetch m;
-    m.from_dc = r.u32();
-    m.from = r.u64();
-    m.to = r.u64();
-    m.sig = decode_sig(r);
-    return m;
-}
-
-Bytes DeleteCmd::signing_bytes() const {
-    codec::Writer w(64);
-    w.str("exp-delete");
-    w.u32(dc);
-    w.u64(height);
-    w.raw(block_hash);
-    return w.take();
-}
-
-void DeleteCmd::encode(codec::Writer& w) const {
-    w.u32(dc);
-    w.u64(height);
-    w.raw(block_hash);
-    encode_sig(w, sig);
-}
-
-DeleteCmd DeleteCmd::decode(codec::Reader& r) {
-    DeleteCmd m;
-    m.dc = r.u32();
-    m.height = r.u64();
-    m.block_hash = r.raw_array<32>();
-    m.sig = decode_sig(r);
-    return m;
-}
-
-Bytes DeleteAck::signing_bytes() const {
-    codec::Writer w(32);
-    w.str("exp-ack");
-    w.u32(replica);
-    w.u64(height);
-    w.u8(executed ? 1 : 0);
-    return w.take();
-}
-
-void DeleteAck::encode(codec::Writer& w) const {
-    w.u32(replica);
-    w.u64(height);
-    w.u8(executed ? 1 : 0);
-    encode_sig(w, sig);
-}
-
-DeleteAck DeleteAck::decode(codec::Reader& r) {
-    DeleteAck m;
-    m.replica = r.u32();
-    m.height = r.u64();
-    m.executed = r.u8() != 0;
-    m.sig = decode_sig(r);
-    return m;
-}
-
-namespace {
-
-template <typename T>
-constexpr std::uint8_t tag_of();
-template <>
-constexpr std::uint8_t tag_of<ReadRequest>() { return 1; }
-template <>
-constexpr std::uint8_t tag_of<ReadReply>() { return 2; }
-template <>
-constexpr std::uint8_t tag_of<BlockFetch>() { return 3; }
-template <>
-constexpr std::uint8_t tag_of<BlockFetchReply>() { return 4; }
-template <>
-constexpr std::uint8_t tag_of<DcSync>() { return 5; }
-template <>
-constexpr std::uint8_t tag_of<DeleteCmd>() { return 6; }
-template <>
-constexpr std::uint8_t tag_of<DeleteAck>() { return 7; }
-template <>
-constexpr std::uint8_t tag_of<DcFetch>() { return 8; }
-
-}  // namespace
-
 Bytes encode_export_message(const ExportMessage& m) {
-    codec::Writer w(256);
-    std::visit(
-        [&w](const auto& msg) {
-            w.u8(tag_of<std::decay_t<decltype(msg)>>());
-            msg.encode(w);
-        },
-        m);
-    return w.take();
+    return codec::encode_tagged(m, codec::tag_of(m), 256);
 }
 
 std::optional<ExportMessage> decode_export_message(BytesView data) noexcept {
-    try {
-        codec::Reader r(data);
-        const std::uint8_t tag = r.u8();
-        ExportMessage m;
-        switch (tag) {
-            case 1: m = ReadRequest::decode(r); break;
-            case 2: m = ReadReply::decode(r); break;
-            case 3: m = BlockFetch::decode(r); break;
-            case 4: m = BlockFetchReply::decode(r); break;
-            case 5: m = DcSync::decode(r); break;
-            case 6: m = DeleteCmd::decode(r); break;
-            case 7: m = DeleteAck::decode(r); break;
-            case 8: m = DcFetch::decode(r); break;
-            default: return std::nullopt;
-        }
-        r.expect_done();
-        return m;
-    } catch (const codec::DecodeError&) {
-        return std::nullopt;
-    }
+    return codec::decode_tagged<ExportMessage>(data);
 }
 
 Bytes encode_delete_evidence(const std::vector<DeleteCmd>& deletes) {
     codec::Writer w(128);
-    w.varint(deletes.size());
-    for (const DeleteCmd& d : deletes) d.encode(w);
+    codec::Encoder<codec::Writer>{w}(codec::list<kMaxDeleteEvidence>(deletes));
     return w.take();
 }
 
 std::optional<std::vector<DeleteCmd>> decode_delete_evidence(BytesView data) noexcept {
     try {
         codec::Reader r(data);
-        const std::uint64_t count = r.varint();
-        if (count > 1024) return std::nullopt;
         std::vector<DeleteCmd> out;
-        out.reserve(count);
-        for (std::uint64_t i = 0; i < count; ++i) out.push_back(DeleteCmd::decode(r));
+        codec::Decoder{r}(codec::list<kMaxDeleteEvidence>(out));
         r.expect_done();
         return out;
     } catch (const codec::DecodeError&) {

@@ -22,6 +22,10 @@ inline constexpr std::uint32_t kDcKeyBase = 1000;
 
 inline std::uint32_t dc_key_id(DataCenterId dc) { return kDcKeyBase + dc; }
 
+/// Decode bounds on hostile counts.
+inline constexpr std::size_t kMaxBlocksPerMessage = 1u << 16;
+inline constexpr std::size_t kMaxDeleteEvidence = 1024;  ///< delete commands per anchor
+
 /// (1) read broadcast: asks replicas for their latest stable checkpoint;
 /// `full_from` is the randomly chosen replica that also sends full blocks
 /// starting after `last_height` (the last block this DC exported).
@@ -31,9 +35,11 @@ struct ReadRequest {
     NodeId full_from = 0;
     crypto::Signature sig{};
 
-    Bytes signing_bytes() const;
-    void encode(codec::Writer& w) const;
-    static ReadRequest decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(dc, last_height, full_from);
+    }
+    ZC_CODEC_SIGNED(ReadRequest, "exp-read")
     friend bool operator==(const ReadRequest&, const ReadRequest&) = default;
 };
 
@@ -45,9 +51,11 @@ struct ReadReply {
     std::vector<chain::Block> blocks;
     crypto::Signature sig{};
 
-    Bytes signing_bytes() const;
-    void encode(codec::Writer& w) const;
-    static ReadReply decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(replica, proof, codec::list<kMaxBlocksPerMessage>(blocks));
+    }
+    ZC_CODEC_SIGNED(ReadReply, "exp-reply")
     friend bool operator==(const ReadReply&, const ReadReply&) = default;
 };
 
@@ -58,9 +66,11 @@ struct BlockFetch {
     Height to = 0;
     crypto::Signature sig{};
 
-    Bytes signing_bytes() const;
-    void encode(codec::Writer& w) const;
-    static BlockFetch decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(dc, from, to);
+    }
+    ZC_CODEC_SIGNED(BlockFetch, "exp-fetch")
     friend bool operator==(const BlockFetch&, const BlockFetch&) = default;
 };
 
@@ -69,9 +79,11 @@ struct BlockFetchReply {
     std::vector<chain::Block> blocks;
     crypto::Signature sig{};
 
-    Bytes signing_bytes() const;
-    void encode(codec::Writer& w) const;
-    static BlockFetchReply decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(replica, codec::list<kMaxBlocksPerMessage>(blocks));
+    }
+    ZC_CODEC_SIGNED(BlockFetchReply, "exp-fetch-reply")
     friend bool operator==(const BlockFetchReply&, const BlockFetchReply&) = default;
 };
 
@@ -83,9 +95,11 @@ struct DcSync {
     std::vector<chain::Block> blocks;
     crypto::Signature sig{};
 
-    Bytes signing_bytes() const;
-    void encode(codec::Writer& w) const;
-    static DcSync decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(from, proof, codec::list<kMaxBlocksPerMessage>(blocks));
+    }
+    ZC_CODEC_SIGNED(DcSync, "exp-sync")
     friend bool operator==(const DcSync&, const DcSync&) = default;
 };
 
@@ -99,9 +113,11 @@ struct DcFetch {
     Height to = 0;
     crypto::Signature sig{};
 
-    Bytes signing_bytes() const;
-    void encode(codec::Writer& w) const;
-    static DcFetch decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(from_dc, from, to);
+    }
+    ZC_CODEC_SIGNED(DcFetch, "exp-dcfetch")
     friend bool operator==(const DcFetch&, const DcFetch&) = default;
 };
 
@@ -113,9 +129,11 @@ struct DeleteCmd {
     crypto::Digest block_hash{};
     crypto::Signature sig{};
 
-    Bytes signing_bytes() const;
-    void encode(codec::Writer& w) const;
-    static DeleteCmd decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(dc, height, block_hash);
+    }
+    ZC_CODEC_SIGNED(DeleteCmd, "exp-delete")
     friend bool operator==(const DeleteCmd&, const DeleteCmd&) = default;
 };
 
@@ -126,12 +144,15 @@ struct DeleteAck {
     bool executed = false;
     crypto::Signature sig{};
 
-    Bytes signing_bytes() const;
-    void encode(codec::Writer& w) const;
-    static DeleteAck decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(replica, height, executed);
+    }
+    ZC_CODEC_SIGNED(DeleteAck, "exp-ack")
     friend bool operator==(const DeleteAck&, const DeleteAck&) = default;
 };
 
+/// The transport tag is 1 + the index below.
 using ExportMessage =
     std::variant<ReadRequest, ReadReply, BlockFetch, BlockFetchReply, DcSync, DeleteCmd,
                  DeleteAck, DcFetch>;

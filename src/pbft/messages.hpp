@@ -4,9 +4,10 @@
 // asymmetric cryptography; checkpoints are per-block and their 2f+1
 // signature sets double as export proofs.
 //
-// Every signed message exposes `signing_bytes()` — the canonical encoding
-// with the signature field excluded — so signing and verification cover
-// identical bytes.
+// Every message declares its fields once (`fields()`, see codec.hpp);
+// encode, decode and, for signed messages, `signing_bytes()` — a label,
+// then the fields without the signature — derive from that list, so
+// signing and verification cover identical bytes.
 #pragma once
 
 #include <optional>
@@ -19,6 +20,11 @@
 #include "crypto/digest.hpp"
 
 namespace zc::pbft {
+
+/// Decode bounds on hostile counts, each named at its field below.
+inline constexpr std::size_t kMaxProofMessages = 256;  ///< checkpoints, prepares, view changes
+inline constexpr std::size_t kMaxPrepared = 4096;      ///< prepared proofs, reproposals
+inline constexpr std::size_t kMaxBatchRequests = 1024;
 
 /// A client/bus request submitted for total ordering.
 ///
@@ -37,9 +43,11 @@ struct Request {
     static Request null() { return Request{}; }
     bool is_null() const noexcept { return origin == kNoNode; }
 
-    Bytes signing_bytes() const;
-    void encode(codec::Writer& w) const;
-    static Request decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(payload, origin, origin_seq);
+    }
+    ZC_CODEC_SIGNED(Request, "req")
 
     /// Full-request digest (payload + origin + origin_seq).
     crypto::Digest digest() const;
@@ -78,19 +86,42 @@ struct PrePrepare {
 
     std::size_t requests_bytes() const noexcept;
 
-    Bytes signing_bytes() const;
+    /// Wire layouts: a batch of one keeps the pre-batching layout, a bare
+    /// Request (kSingle); any other size is a counted list (kBatched).
+    /// Containers (PreparedProof, NewView reproposals) lead with this byte;
+    /// the transport tag stands for it instead (2 single / 8 batched), so a
+    /// single-request preprepare on the wire is byte-identical to the
+    /// pre-batching format.
+    static constexpr std::uint8_t kSingle = 1;
+    static constexpr std::uint8_t kBatched = 2;
+    std::uint8_t format() const noexcept { return requests.size() == 1 ? kSingle : kBatched; }
 
-    /// Container encoding (PreparedProof, NewView reproposals): a leading
-    /// format byte selects the legacy single-request layout (1) or the
-    /// batched layout (2). Transport framing instead versions via the
-    /// message tag (2 legacy / 8 batched) so a single-request preprepare
-    /// on the wire is byte-identical to the pre-batching format.
-    void encode(codec::Writer& w) const;
-    static PrePrepare decode(codec::Reader& r);
-    void encode_legacy(codec::Writer& w) const;  ///< requires requests.size() == 1
-    static PrePrepare decode_legacy(codec::Reader& r);
-    void encode_batched(codec::Writer& w) const;
-    static PrePrepare decode_batched(codec::Reader& r);
+    /// The one field codec with two layouts, chosen by `format`.
+    struct Requests {
+        std::vector<Request>& requests;
+        const std::uint8_t& format;
+
+        template <class F>
+        void fields(F& f) {
+            if (format == kSingle) {
+                if (requests.empty()) requests.emplace_back();  // decoding
+                f(requests.front());
+            } else if (format == kBatched) {
+                f(codec::list<kMaxBatchRequests, 1>(requests));
+            } else {
+                throw codec::DecodeError("unknown preprepare format");
+            }
+        }
+    };
+
+    /// `requests` is outside the signed bytes: `req_digest` binds it.
+    template <class F>
+    void fields(F& f) {
+        std::uint8_t layout = format();
+        f(codec::format(layout), view, seq, req_digest,
+          codec::unsigned_field(Requests{requests, layout}), primary);
+    }
+    ZC_CODEC_SIGNED(PrePrepare, "pp")
     friend bool operator==(const PrePrepare&, const PrePrepare&) = default;
 };
 
@@ -101,9 +132,11 @@ struct Prepare {
     NodeId replica = kNoNode;
     crypto::Signature sig{};
 
-    Bytes signing_bytes() const;
-    void encode(codec::Writer& w) const;
-    static Prepare decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(view, seq, req_digest, replica);
+    }
+    ZC_CODEC_SIGNED(Prepare, "p")
     friend bool operator==(const Prepare&, const Prepare&) = default;
 };
 
@@ -114,9 +147,11 @@ struct Commit {
     NodeId replica = kNoNode;
     crypto::Signature sig{};
 
-    Bytes signing_bytes() const;
-    void encode(codec::Writer& w) const;
-    static Commit decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(view, seq, req_digest, replica);
+    }
+    ZC_CODEC_SIGNED(Commit, "c")
     friend bool operator==(const Commit&, const Commit&) = default;
 };
 
@@ -129,9 +164,11 @@ struct Checkpoint {
     NodeId replica = kNoNode;
     crypto::Signature sig{};
 
-    Bytes signing_bytes() const;
-    void encode(codec::Writer& w) const;
-    static Checkpoint decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(seq, state, replica);
+    }
+    ZC_CODEC_SIGNED(Checkpoint, "ckpt")
     friend bool operator==(const Checkpoint&, const Checkpoint&) = default;
 };
 
@@ -141,8 +178,11 @@ struct CheckpointProof {
     crypto::Digest state{};
     std::vector<Checkpoint> messages;
 
-    void encode(codec::Writer& w) const;
-    static CheckpointProof decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(seq, state, codec::list<kMaxProofMessages>(messages));
+    }
+    ZC_CODEC_FIELDS(CheckpointProof)
     friend bool operator==(const CheckpointProof&, const CheckpointProof&) = default;
 };
 
@@ -152,8 +192,11 @@ struct PreparedProof {
     PrePrepare preprepare;
     std::vector<Prepare> prepares;
 
-    void encode(codec::Writer& w) const;
-    static PreparedProof decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(preprepare, codec::list<kMaxProofMessages>(prepares));
+    }
+    ZC_CODEC_FIELDS(PreparedProof)
     friend bool operator==(const PreparedProof&, const PreparedProof&) = default;
 };
 
@@ -165,9 +208,11 @@ struct ViewChange {
     NodeId replica = kNoNode;
     crypto::Signature sig{};
 
-    Bytes signing_bytes() const;
-    void encode(codec::Writer& w) const;
-    static ViewChange decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(new_view, last_stable, stable_proof, codec::list<kMaxPrepared>(prepared), replica);
+    }
+    ZC_CODEC_SIGNED(ViewChange, "vc")
     friend bool operator==(const ViewChange&, const ViewChange&) = default;
 };
 
@@ -178,15 +223,21 @@ struct NewView {
     NodeId primary = kNoNode;
     crypto::Signature sig{};
 
-    Bytes signing_bytes() const;
-    void encode(codec::Writer& w) const;
-    static NewView decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(view, codec::list<kMaxProofMessages>(view_changes), codec::list<kMaxPrepared>(reproposals),
+          primary);
+    }
+    ZC_CODEC_SIGNED(NewView, "nv")
     friend bool operator==(const NewView&, const NewView&) = default;
 };
 
-/// Transport-level union of all PBFT messages.
+/// Transport-level union of all PBFT messages. The transport tag is 1 +
+/// the index below; a batched PrePrepare takes kBatchedPrePrepareTag.
 using Message =
     std::variant<Request, PrePrepare, Prepare, Commit, Checkpoint, ViewChange, NewView>;
+
+inline constexpr std::uint8_t kBatchedPrePrepareTag = 8;
 
 /// Serializes with a leading type tag.
 Bytes encode_message(const Message& m);

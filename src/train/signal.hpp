@@ -16,6 +16,9 @@
 
 namespace zc::train {
 
+/// Decode bound on a telegram's or record's signal count.
+inline constexpr std::size_t kMaxSignals = 4096;
+
 enum class SignalKind : std::uint8_t {
     kSpeed = 1,           ///< centi-km/h
     kOdometer = 2,        ///< metres since trip start
@@ -33,6 +36,10 @@ struct Signal {
     SignalKind kind{};
     std::int64_t value = 0;
 
+    template <class F>
+    void fields(F& f) {
+        f(kind, value);
+    }
     friend bool operator==(const Signal&, const Signal&) = default;
 };
 
@@ -44,8 +51,11 @@ struct TelegramContent {
     std::vector<Signal> signals;
     Bytes opaque;  ///< encrypted telemetry, logged unmodified
 
-    void encode(codec::Writer& w) const;
-    static TelegramContent decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(cycle, timestamp_ns, codec::list<kMaxSignals>(signals), opaque);
+    }
+    ZC_CODEC_FIELDS(TelegramContent)
 };
 
 /// The filtered record a node submits for logging: cycle, timestamp, the
@@ -56,8 +66,11 @@ struct LogRecord {
     std::vector<Signal> signals;
     Bytes opaque;
 
-    void encode(codec::Writer& w) const;
-    static LogRecord decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(cycle, timestamp_ns, codec::list<kMaxSignals>(signals), opaque);
+    }
+    ZC_CODEC_FIELDS(LogRecord)
 
     friend bool operator==(const LogRecord&, const LogRecord&) = default;
 };

@@ -2,18 +2,6 @@
 
 namespace zc::zugchain {
 
-void PeerRequest::encode(codec::Writer& w) const {
-    request.encode(w);
-    w.u8(forwarded ? 1 : 0);
-}
-
-PeerRequest PeerRequest::decode(codec::Reader& r) {
-    PeerRequest m;
-    m.request = pbft::Request::decode(r);
-    m.forwarded = r.u8() != 0;
-    return m;
-}
-
 Bytes encode_peer_request(const PeerRequest& m) { return codec::encode_to_bytes(m); }
 
 std::optional<PeerRequest> decode_peer_request(BytesView data) noexcept {

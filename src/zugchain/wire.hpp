@@ -14,8 +14,11 @@ struct PeerRequest {
     pbft::Request request;
     bool forwarded = false;  ///< true when relayed; relays are not re-relayed
 
-    void encode(codec::Writer& w) const;
-    static PeerRequest decode(codec::Reader& r);
+    template <class F>
+    void fields(F& f) {
+        f(request, forwarded);
+    }
+    ZC_CODEC_FIELDS(PeerRequest)
     friend bool operator==(const PeerRequest&, const PeerRequest&) = default;
 };
 
