@@ -136,7 +136,7 @@ void print_trace(const char* name, const ViewChangeTrace& t) {
     print_phase_breakdown(t.phases, "  ");
 
     std::printf("watchdog verdict (monitor sampled every %u bus cycles):\n",
-                health::MonitorConfig{}.sample_every_cycles);
+                health::kSampleEveryCycles);
     std::printf("  health: %zu alarm(s) over %llu samples; flight recorder retained %zu "
                 "events (%zu view-change)\n",
                 t.alarms.size(), static_cast<unsigned long long>(t.health_samples),

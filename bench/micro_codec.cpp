@@ -80,9 +80,7 @@ void BM_BlockValidate(benchmark::State& state) {
 BENCHMARK(BM_BlockValidate);
 
 void BM_TelegramGenerateParseFilter(benchmark::State& state) {
-    train::GeneratorConfig cfg;
-    cfg.payload_size = static_cast<std::size_t>(state.range(0));
-    train::SignalGenerator gen(cfg, Rng(6));
+    train::SignalGenerator gen(static_cast<std::size_t>(state.range(0)), Rng(6));
     train::JruParser parser;
     std::uint64_t cycle = 0;
     TimePoint t{0};

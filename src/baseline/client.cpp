@@ -2,9 +2,9 @@
 
 namespace zc::baseline {
 
-BaselineClient::BaselineClient(ClientConfig config, sim::Simulation& sim,
-                               crypto::CryptoContext& crypto, ClientSender& sender)
-    : config_(config), sim_(sim), crypto_(crypto), sender_(sender) {}
+BaselineClient::BaselineClient(NodeId id, sim::Simulation& sim, crypto::CryptoContext& crypto,
+                               ClientSender& sender)
+    : id_(id), sim_(sim), crypto_(crypto), sender_(sender) {}
 
 BaselineClient::~BaselineClient() {
     for (auto& [digest, p] : pending_) sim_.cancel(p.timer);
@@ -13,7 +13,7 @@ BaselineClient::~BaselineClient() {
 void BaselineClient::receive(Bytes payload, std::uint64_t uniquifier) {
     pbft::Request r;
     r.payload = std::move(payload);
-    r.origin = config_.id;
+    r.origin = id_;
     r.origin_seq = uniquifier;
     r.sig = crypto_.sign(r.signing_bytes());
 
@@ -28,15 +28,14 @@ void BaselineClient::arm_timer(const crypto::Digest& digest) {
     auto it = pending_.find(digest);
     if (it == pending_.end()) return;
     if (it->second.timer != sim::kInvalidEvent) sim_.cancel(it->second.timer);
-    it->second.timer =
-        sim_.schedule(config_.retransmit_timeout, [this, digest] { on_timeout(digest); });
+    it->second.timer = sim_.schedule(kRetransmitTimeout, [this, digest] { on_timeout(digest); });
 }
 
 void BaselineClient::on_timeout(const crypto::Digest& digest) {
     const auto it = pending_.find(digest);
     if (it == pending_.end()) return;
     it->second.timer = sim::kInvalidEvent;
-    if (it->second.retransmits >= config_.max_retransmits) {
+    if (it->second.retransmits >= kMaxRetransmits) {
         stats_.abandoned += 1;
         pending_.erase(it);
         return;

@@ -25,27 +25,30 @@ public:
     virtual void to_all(const pbft::Request& request) = 0;
 };
 
-struct ClientConfig {
-    NodeId id = 0;
-    /// Classic client retransmission timeout (paper: baseline view-change
-    /// timeout 500 ms).
-    Duration retransmit_timeout{milliseconds(500)};
-    /// Retries before giving a request up as lost. Under overload the
-    /// baseline drops requests (paper §V-B) instead of amplifying the
-    /// overload with an unbounded retransmit storm.
-    std::uint32_t max_retransmits = 2;
-};
+/// Classic client retransmission timeout (paper Fig. 8: the baseline's
+/// timers are 500 ms).
+inline constexpr Duration kRetransmitTimeout = milliseconds(500);
+
+/// A backup receiving a forwarded request suspects the primary after this
+/// long (pbft::ReplicaConfig::request_timeout in baseline mode; paper
+/// Fig. 8: 500 ms).
+inline constexpr Duration kRequestTimeout = milliseconds(500);
+
+/// Retries before giving a request up as lost. Under overload the
+/// baseline drops requests (paper §V-B) instead of amplifying the
+/// overload with an unbounded retransmit storm.
+inline constexpr std::uint32_t kMaxRetransmits = 2;
 
 struct ClientStats {
     std::uint64_t submitted = 0;
     std::uint64_t retransmitted = 0;
     std::uint64_t decided = 0;
-    std::uint64_t abandoned = 0;  ///< dropped after max_retransmits
+    std::uint64_t abandoned = 0;  ///< dropped after kMaxRetransmits
 };
 
 class BaselineClient {
 public:
-    BaselineClient(ClientConfig config, sim::Simulation& sim, crypto::CryptoContext& crypto,
+    BaselineClient(NodeId id, sim::Simulation& sim, crypto::CryptoContext& crypto,
                    ClientSender& sender);
 
     /// Cancels pending retransmit timers (teardown safety on crash/restart).
@@ -73,7 +76,7 @@ private:
     void arm_timer(const crypto::Digest& digest);
     void on_timeout(const crypto::Digest& digest);
 
-    ClientConfig config_;
+    NodeId id_;
     sim::Simulation& sim_;
     crypto::CryptoContext& crypto_;
     ClientSender& sender_;

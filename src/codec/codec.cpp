@@ -102,6 +102,9 @@ const char* Reader::read_varint(std::uint64_t& out) noexcept {
         if (shift == 63 && (b & 0x7e) != 0) return "varint overflow";
         v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
         if ((b & 0x80) == 0) {
+            // A zero last byte after the first adds nothing: the value has
+            // a shorter encoding, and only the shortest one is accepted.
+            if (b == 0 && shift > 0) return "non-minimal varint";
             out = v;
             return nullptr;
         }

@@ -15,6 +15,7 @@
 // Byzantine/corrupt message and drops.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <optional>
@@ -106,6 +107,7 @@ public:
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
     double f64();
 
+    /// LEB128 in its shortest form; a non-minimal encoding is rejected.
     std::uint64_t varint();
 
     /// Length-delimited byte string. `max_len` guards against hostile
@@ -149,11 +151,11 @@ private:
 // ---- Field declarations ---------------------------------------------------
 //
 // A field's C++ type picks its wire form:
-//   bool, std::uint8_t, a one-byte enum    1 byte (a bool decodes non-zero as true)
+//   bool, std::uint8_t, a one-byte enum    1 byte (a bool is 0 or 1, nothing else)
 //   std::uint32_t, std::uint64_t, int64_t  fixed-width little endian
 //   std::array<std::uint8_t, N>            N raw bytes (digests, signatures)
 //   Bytes                                  varint length + bytes
-//   std::optional<T>                       u8 presence flag, then T
+//   std::optional<T>                       presence byte 0 or 1, then T
 //   a type with fields()                   its full encoding, signature included
 //   list<Max, Min>(vector)                 varint count + elements; decoding
 //                                          rejects a count outside [Min, Max]
@@ -320,7 +322,7 @@ public:
 private:
     template <class T>
     void get(T& v) {
-        if constexpr (std::is_same_v<T, bool>) v = r_.u8() != 0;
+        if constexpr (std::is_same_v<T, bool>) v = flag();
         else if constexpr (std::is_enum_v<T>) {
             std::underlying_type_t<T> raw{};
             get(raw);
@@ -335,13 +337,16 @@ private:
     }
     template <class T>
     void get(std::optional<T>& v) {
-        if (r_.u8() != 0) read(r_, v.emplace());
+        if (flag()) read(r_, v.emplace());
     }
     template <std::size_t Min, std::size_t Max, class V>
     void get(List<Min, Max, V>& list) {
         const std::uint64_t count = r_.varint();
         if (count < Min || count > Max) throw DecodeError("list count out of bounds");
-        list.items.reserve(count);
+        // Every element takes at least one byte, so a count beyond what is
+        // left fails anyway: reserving only that much keeps a hostile
+        // count from allocating far more than the message holds.
+        list.items.reserve(std::min<std::uint64_t>(count, r_.remaining()));
         for (std::uint64_t i = 0; i < count; ++i) get(list.items.emplace_back());
     }
     template <class T>
@@ -349,6 +354,13 @@ private:
         get(v.field);
     }
     void get(Format& v) { v.selector = format_ ? *format_ : r_.u8(); }
+
+    /// A bool or presence byte: only 0 and 1 are canonical.
+    bool flag() {
+        const std::uint8_t b = r_.u8();
+        if (b > 1) throw DecodeError("non-canonical flag byte");
+        return b == 1;
+    }
 
     Reader& r_;
     std::optional<std::uint8_t> format_;

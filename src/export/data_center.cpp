@@ -69,7 +69,7 @@ void DataCenter::retry_round() {
     excluded_full_.insert(full_from_);
     state_ = State::kIdle;
     attempts_ += 1;
-    if (attempts_ > config_.max_retries) {
+    if (attempts_ > kMaxExportRetries) {
         ZC_WARN("export-dc", "dc {} export abandoned after {} retries", config_.id, attempts_ - 1);
         stats_.exports_failed += 1;
         finish(false);
@@ -79,11 +79,11 @@ void DataCenter::retry_round() {
     // uplink; the next round starts after the wait. Seeded jitter (up to
     // +25 %) desynchronizes data centers retrying into the same outage —
     // deterministic, since rng_ is a per-DC fork of the sim seed.
-    Duration backoff = config_.retry_backoff;
-    for (std::uint32_t i = 1; i < attempts_ && backoff < config_.retry_backoff_max; ++i) {
+    Duration backoff = kExportRetryBackoff;
+    for (std::uint32_t i = 1; i < attempts_ && backoff < kExportRetryBackoffMax; ++i) {
         backoff = backoff * 2;
     }
-    backoff = std::min(backoff, config_.retry_backoff_max);
+    backoff = std::min(backoff, kExportRetryBackoffMax);
     const std::uint64_t jitter_span = static_cast<std::uint64_t>(backoff.count()) / 4;
     if (jitter_span > 0) {
         backoff += Duration{static_cast<std::int64_t>(rng_.next_below(jitter_span + 1))};

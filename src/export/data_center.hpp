@@ -30,6 +30,16 @@ public:
     virtual void to_data_center(DataCenterId dc, const ExportMessage& m) = 0;
 };
 
+/// Bounded retry with exponential backoff: a round that times out (or
+/// delivers unusable blocks) is retried after kExportRetryBackoff,
+/// doubling up to kExportRetryBackoffMax, at most kMaxExportRetries times
+/// before the export is abandoned as failed. This lets an export that
+/// straddles an LTE outage complete once the link returns instead of
+/// hammering a dead uplink or giving up after one timeout.
+inline constexpr std::uint32_t kMaxExportRetries = 8;
+inline constexpr Duration kExportRetryBackoff = seconds(2);
+inline constexpr Duration kExportRetryBackoffMax = seconds(30);
+
 struct DcConfig {
     DataCenterId id = 0;
     std::uint32_t n = 4;
@@ -37,16 +47,6 @@ struct DcConfig {
     SeqNo checkpoint_interval = 10;
     std::vector<DataCenterId> peers;  ///< the other companies' data centers
     Duration reply_timeout{seconds(20)};
-
-    /// Bounded retry with exponential backoff: a round that times out (or
-    /// delivers unusable blocks) is retried after `retry_backoff`,
-    /// doubling up to `retry_backoff_max`, at most `max_retries` times
-    /// before the export is abandoned as failed. This lets an export that
-    /// straddles an LTE outage complete once the link returns instead of
-    /// hammering a dead uplink or giving up after one timeout.
-    std::uint32_t max_retries = 8;
-    Duration retry_backoff{seconds(2)};
-    Duration retry_backoff_max{seconds(30)};
 };
 
 /// Timing/outcome record of one export run (Table II's rows).

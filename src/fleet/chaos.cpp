@@ -61,6 +61,18 @@ namespace {
 /// straddles warmup or the report cut.
 constexpr Duration kGrayMargin = seconds(2);
 
+/// Flapping-asymmetric-link cadence: the outbound links go dark for
+/// kFlapOn every kFlapPeriod, filling the active window.
+constexpr Duration kFlapOn = seconds(3);
+constexpr Duration kFlapPeriod = seconds(15);
+static_assert(kFlapPeriod > kFlapOn);
+
+/// Slow-creep end state (reached after kCreepRamp, then held).
+constexpr Duration kCreepRamp = seconds(30);
+constexpr double kCreepBandwidthScaleEnd = 0.2;
+constexpr double kCreepLatencyScaleEnd = 5.0;
+constexpr double kCreepLossEnd = 0.02;
+
 /// True when [from, to) overlaps a span of `node` in `spans`.
 bool overlaps(const std::vector<faults::NodeDarkSpan>& spans, NodeId node, Duration from,
               Duration to) {
@@ -124,24 +136,19 @@ CompiledGray compile_gray(const GrayChaosOptions& opts, const FleetFaults& base)
 
         for (std::uint32_t i = 0; i < opts.flapping; ++i) {
             const NodeId v = next_victim(nullptr);
-            if (opts.flap_period <= opts.flap_on) break;  // degenerate cadence
             // Jittered phase start inside the first period keeps trains /
             // instances from flapping in lock-step.
-            const Duration phase =
-                Duration{static_cast<Duration::rep>(rng.next_below(static_cast<std::uint64_t>(
-                    std::max<Duration::rep>(opts.flap_period.count() / 2, 1))))};
+            const Duration phase = Duration{static_cast<Duration::rep>(
+                rng.next_below(static_cast<std::uint64_t>(kFlapPeriod.count() / 2)))};
             std::uint32_t placed = 0;
-            const std::uint32_t want =
-                opts.flap_cycles > 0
-                    ? opts.flap_cycles
-                    : static_cast<std::uint32_t>(active.count() / opts.flap_period.count());
+            const auto want = static_cast<std::uint32_t>(active.count() / kFlapPeriod.count());
             for (std::uint32_t k = 0; placed < want; ++k) {
-                const Duration at = open + phase + opts.flap_period * static_cast<int>(k);
-                if (at + opts.flap_on > close) break;
-                if (overlaps(dark, v, at, at + opts.flap_on)) continue;
+                const Duration at = open + phase + kFlapPeriod * static_cast<int>(k);
+                if (at + kFlapOn > close) break;
+                if (overlaps(dark, v, at, at + kFlapOn)) continue;
                 runtime::FaultPlan::LinkFlap flap;
                 flap.at = at;
-                flap.duration = opts.flap_on;
+                flap.duration = kFlapOn;
                 flap.link = runtime::FaultPlan::LinkFlap::Link::kNode;
                 flap.node = v;
                 flap.asymmetric = true;
@@ -149,11 +156,11 @@ CompiledGray compile_gray(const GrayChaosOptions& opts, const FleetFaults& base)
                 placed += 1;
             }
             if (placed > 0) {
-                const Duration span = plan.link_flaps.back().at + opts.flap_on -
+                const Duration span = plan.link_flaps.back().at + kFlapOn -
                                       plan.link_flaps.front().at;
                 out.instances.push_back(
                     {GrayKind::kFlappingAsymLink, t, v, plan.link_flaps.front().at, span,
-                     to_seconds(opts.flap_on) / to_seconds(opts.flap_period)});
+                     to_seconds(kFlapOn) / to_seconds(kFlapPeriod)});
             }
         }
 
@@ -165,19 +172,18 @@ CompiledGray compile_gray(const GrayChaosOptions& opts, const FleetFaults& base)
             const Duration at =
                 open + Duration{static_cast<Duration::rep>(rng.next_below(
                            static_cast<std::uint64_t>(std::max<Duration::rep>(
-                               (half - std::min(half, opts.creep_ramp)).count(), 1))))};
-            if (overlaps(dark, v, at, at + opts.creep_ramp)) continue;
+                               (half - std::min(half, kCreepRamp)).count(), 1))))};
+            if (overlaps(dark, v, at, at + kCreepRamp)) continue;
             runtime::FaultPlan::EgressRamp ramp;
             ramp.at = at;
-            ramp.ramp = opts.creep_ramp;
+            ramp.ramp = kCreepRamp;
             ramp.node = v;
-            ramp.bandwidth_scale_end = opts.creep_bandwidth_scale_end;
-            ramp.latency_scale_end = opts.creep_latency_scale_end;
-            ramp.loss_end = opts.creep_loss_end;
-            ramp.hold = opts.creep_hold;
+            ramp.bandwidth_scale_end = kCreepBandwidthScaleEnd;
+            ramp.latency_scale_end = kCreepLatencyScaleEnd;
+            ramp.loss_end = kCreepLossEnd;
             plan.egress_ramps.push_back(ramp);
-            out.instances.push_back({GrayKind::kSlowCreep, t, v, at, opts.creep_ramp,
-                                     opts.creep_bandwidth_scale_end});
+            out.instances.push_back({GrayKind::kSlowCreep, t, v, at, kCreepRamp,
+                                     kCreepBandwidthScaleEnd});
         }
     }
 

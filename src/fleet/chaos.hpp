@@ -68,12 +68,12 @@ enum class GrayKind : std::uint8_t {
     /// node stays correct — just slow enough to strain fixed timers.
     kLimpingNode,
     /// Repeated short asymmetric partitions: the victim's *outbound*
-    /// links go dark for `flap_on` every `flap_period` (a dead TX
-    /// amplifier); it keeps hearing the cluster throughout.
+    /// links go dark for 3 s every 15 s (a dead TX amplifier); it keeps
+    /// hearing the cluster throughout.
     kFlappingAsymLink,
     /// Slow-creep egress ramp: bandwidth/latency/loss drift linearly to
-    /// the configured end state over `creep_ramp` and hold (a corroding
-    /// connector, not an outage).
+    /// a fixed end state over 30 s and hold (a corroding connector, not
+    /// an outage).
     kSlowCreep,
 };
 
@@ -105,19 +105,6 @@ struct GrayChaosOptions {
 
     /// Limping-node severity: cost-model multiplier (> 1 = slower).
     double limp_factor = 6.0;
-
-    /// Flapping-asymmetric-link cadence. `flap_cycles == 0` fills the
-    /// active window at `flap_period`.
-    Duration flap_on{seconds(3)};
-    Duration flap_period{seconds(15)};
-    std::uint32_t flap_cycles = 0;
-
-    /// Slow-creep end state (reached after `creep_ramp`, then held).
-    Duration creep_ramp{seconds(30)};
-    double creep_bandwidth_scale_end = 0.2;
-    double creep_latency_scale_end = 5.0;
-    double creep_loss_end = 0.02;
-    bool creep_hold = true;
 
     /// Byzantine population per train: a gray victim is never also a
     /// Byzantine node (grayness must be distinguishable from malice).

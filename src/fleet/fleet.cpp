@@ -10,6 +10,14 @@
 
 namespace zc::fleet {
 
+namespace {
+
+/// Sampling cadence, in bus cycles, of a consist that has a time series
+/// or a liveness judge but no health monitor.
+constexpr std::uint32_t kTimeseriesSampleCycles = 16;
+
+}  // namespace
+
 Fleet::Fleet(FleetConfig config)
     : config_(std::move(config)), sim_(config_.seed),
       provider_(crypto::make_provider(config_.train.crypto_provider)) {
@@ -164,22 +172,7 @@ void Fleet::build() {
     // Shared data centers: each attaches one port per shard network and
     // one export core per train.
     for (std::uint32_t d = 0; d < config_.dc_count; ++d) {
-        FleetDcConfig dcfg;
-        dcfg.core.id = d;
-        dcfg.core.n = tmpl.n;
-        dcfg.core.f = tmpl.f;
-        dcfg.core.checkpoint_interval = tmpl.block_size;
-        for (DataCenterId other = 0; other < config_.dc_count; ++other) {
-            if (other != d) dcfg.core.peers.push_back(other);
-        }
-        dcfg.core.reply_timeout = tmpl.export_timeout;
-        dcfg.core.max_retries = tmpl.export_max_retries;
-        dcfg.core.retry_backoff = tmpl.export_retry_backoff;
-        dcfg.core.retry_backoff_max = tmpl.export_retry_backoff_max;
-        dcfg.ingest_cores = config_.dc_ingest_cores;
-        dcfg.ingest_queue = config_.dc_ingest_queue;
-        dcs_.push_back(
-            std::make_unique<FleetDataCenter>(dcfg, sim_, *provider_, index_, config_.trace_sink));
+        dcs_.push_back(std::make_unique<FleetDataCenter>(config_, d, sim_, *provider_, index_));
         for (TrainId t = 0; t < config_.trains; ++t) dcs_.back()->add_shard(t, *shards_[t]);
     }
 
@@ -209,7 +202,7 @@ void Fleet::build() {
     if (tmpl.health_monitor != nullptr) {
         monitors_.push_back(tmpl.health_monitor);
     } else if (config_.monitors) {
-        health::MonitorConfig mc = config_.monitor;
+        health::MonitorConfig mc;
         mc.watch_export = config_.dc_count > 0;
         if (config_.dc_count > 0) {
             // A train legitimately backs up one export period of blocks
@@ -234,9 +227,9 @@ void Fleet::build() {
     if (period == Duration::zero() &&
         (tmpl.health_monitor || tmpl.health_timeseries || tmpl.liveness || config_.audit)) {
         const std::uint32_t cycles = tmpl.health_monitor != nullptr
-                                         ? tmpl.health_monitor->config().sample_every_cycles
-                                         : tmpl.timeseries_sample_cycles;
-        period = tmpl.bus_cycle * std::max<std::uint32_t>(1, cycles);
+                                         ? health::kSampleEveryCycles
+                                         : kTimeseriesSampleCycles;
+        period = tmpl.bus_cycle * cycles;
     }
     if (period > Duration::zero()) sim_.schedule(period, [this] { sample_tick(); });
 }

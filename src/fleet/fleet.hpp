@@ -79,6 +79,8 @@ struct FleetConfig {
     runtime::ScenarioConfig train;
 
     std::uint32_t dc_count = 2;
+    /// Each data center's ingestion tier: cores and bounded queue shared
+    /// by *all* trains (0 = unbounded queue).
     int dc_ingest_cores = 8;
     std::size_t dc_ingest_queue = 4096;
 
@@ -107,7 +109,6 @@ struct FleetConfig {
     /// (config() then reports the cadence in use).
     bool monitors = true;
     Duration sample_period{milliseconds(256)};
-    health::MonitorConfig monitor;
 
     /// Per-shard safety auditors + a final audit pass in run(), on the
     /// template's audit_period; plus per-train liveness judges, finished

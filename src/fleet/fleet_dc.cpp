@@ -2,6 +2,7 @@
 
 #include <variant>
 
+#include "fleet/fleet.hpp"
 #include "prof/prof.hpp"
 #include "runtime/train_shard.hpp"
 #include "runtime/wire.hpp"
@@ -58,7 +59,7 @@ struct FleetDataCenter::ShardRig final : net::Endpoint, exporter::DcTransport {
         : host(host), train(train), net(shard.network()),
           crypto(host.provider_, shard.directory(), shard.dc_key(host.id()),
                  host.dc_costs_, meter) {
-        core = std::make_unique<exporter::DataCenter>(host.config_.core, host.sim_, crypto, *this);
+        core = std::make_unique<exporter::DataCenter>(host.core_, host.sim_, crypto, *this);
         if (host.trace_ != nullptr) core->set_trace(host.trace_, kDcEndpointBase + host.id());
     }
 
@@ -122,11 +123,30 @@ struct FleetDataCenter::ShardRig final : net::Endpoint, exporter::DcTransport {
     std::unique_ptr<exporter::DataCenter> core;
 };
 
-FleetDataCenter::FleetDataCenter(FleetDcConfig config, sim::Simulation& sim,
-                                 crypto::CryptoProvider& provider, FleetIndex& index,
-                                 trace::TraceSink* trace)
-    : config_(config), sim_(sim), provider_(provider), index_(index), trace_(trace), dc_costs_(metrics::CostModel::cloud()),
-      executor_(sim, config.ingest_cores, config.ingest_queue) {}
+namespace {
+
+exporter::DcConfig core_config(const FleetConfig& fleet, DataCenterId id) {
+    const runtime::ScenarioConfig& tmpl = fleet.train;
+    exporter::DcConfig core;
+    core.id = id;
+    core.n = tmpl.n;
+    core.f = tmpl.f;
+    core.checkpoint_interval = tmpl.block_size;
+    for (DataCenterId other = 0; other < fleet.dc_count; ++other) {
+        if (other != id) core.peers.push_back(other);
+    }
+    core.reply_timeout = tmpl.export_timeout;
+    return core;
+}
+
+}  // namespace
+
+FleetDataCenter::FleetDataCenter(const FleetConfig& config, DataCenterId id,
+                                 sim::Simulation& sim, crypto::CryptoProvider& provider,
+                                 FleetIndex& index)
+    : core_(core_config(config, id)), sim_(sim), provider_(provider), index_(index),
+      trace_(config.trace_sink), dc_costs_(metrics::CostModel::cloud()),
+      executor_(sim, config.dc_ingest_cores, config.dc_ingest_queue) {}
 
 FleetDataCenter::~FleetDataCenter() = default;
 

@@ -71,22 +71,15 @@ private:
     std::uint64_t cross_shard_collisions_ = 0;
 };
 
-struct FleetDcConfig {
-    /// The per-train export protocol core (id, peers, timeouts, retries;
-    /// the same for every train).
-    exporter::DcConfig core;
-
-    /// The shared ingestion tier: cores and bounded queue for *all* shards
-    /// together (0 = unbounded queue).
-    int ingest_cores = 8;
-    std::size_t ingest_queue = 4096;
-};
+struct FleetConfig;  // defined in fleet/fleet.hpp
 
 class FleetDataCenter {
 public:
-    FleetDataCenter(FleetDcConfig config, sim::Simulation& sim,
-                    crypto::CryptoProvider& provider, FleetIndex& index,
-                    trace::TraceSink* trace = nullptr);
+    /// Data center `id` of the fleet `config` describes: its export
+    /// protocol core per train, its share of the ingestion tier and the
+    /// fleet's trace sink.
+    FleetDataCenter(const FleetConfig& config, DataCenterId id, sim::Simulation& sim,
+                    crypto::CryptoProvider& provider, FleetIndex& index);
     ~FleetDataCenter();
 
     FleetDataCenter(const FleetDataCenter&) = delete;
@@ -114,7 +107,7 @@ public:
 
     exporter::DataCenter& core(TrainId train);
     const exporter::DataCenter& core(TrainId train) const;
-    DataCenterId id() const noexcept { return config_.core.id; }
+    DataCenterId id() const noexcept { return core_.id; }
 
     std::uint64_t ingest_dropped() const noexcept { return executor_.dropped(); }
     std::size_t ingest_queue_depth() const noexcept { return executor_.queue_depth(); }
@@ -131,7 +124,7 @@ public:
 private:
     struct ShardRig;
 
-    FleetDcConfig config_;
+    exporter::DcConfig core_;  ///< the same for every train
     sim::Simulation& sim_;
     crypto::CryptoProvider& provider_;
     FleetIndex& index_;

@@ -178,7 +178,7 @@ std::string HealthMonitor::json() const {
                   ",\"export_backlog_samples\":%u,\"export_backlog_min_blocks\":%" PRIu64
                   ",\"watch_export\":%s,\"divergence_entries\":%" PRIu64
                   ",\"rejoin_lag_blocks\":%" PRIu64 ",\"rejoin_stalled_samples\":%u},\"alarms\":",
-                  samples_, config_.sample_every_cycles, config_.stalled_soft_timeouts,
+                  samples_, kSampleEveryCycles, config_.stalled_soft_timeouts,
                   config_.checkpoint_lag_blocks, config_.export_backlog_samples,
                   config_.export_backlog_min_blocks, config_.watch_export ? "true" : "false",
                   config_.divergence_entries, config_.rejoin_lag_blocks,

@@ -68,13 +68,13 @@ struct NodeSample {
     std::uint64_t timeout_thrash = 0;  ///< view changes begun with recent progress
 };
 
-struct MonitorConfig {
-    /// Sampling cadence, in bus cycles (the runtime multiplies by the
-    /// configured cycle time). Must stay below the view-change recovery
-    /// time (~1 s with the paper's timers) or a stall can resolve between
-    /// two samples and the stalled-view rule never sees it.
-    std::uint32_t sample_every_cycles = 4;
+/// Sampling cadence of a monitored consist, in bus cycles (the fleet's
+/// sampling tick multiplies by the configured cycle time). Must stay below
+/// the view-change recovery time (~1 s with the paper's timers) or a stall
+/// can resolve between two samples and the stalled-view rule never sees it.
+inline constexpr std::uint32_t kSampleEveryCycles = 4;
 
+struct MonitorConfig {
     /// Stalled view: soft timeouts tolerated without commit progress.
     std::uint32_t stalled_soft_timeouts = 3;
 
@@ -127,7 +127,6 @@ public:
         return false;
     }
     std::uint64_t samples_taken() const noexcept { return samples_; }
-    const MonitorConfig& config() const noexcept { return config_; }
 
     /// Deterministic JSON: {"samples":..,"config":{..},"alarms":[..]}.
     std::string json() const;

@@ -12,6 +12,11 @@ namespace {
 
 using runtime::FaultPlan;
 
+/// Bus-cycle scale of a station dwell's rate window (< 1: a burst) and of
+/// the depot layover's (> 1: a trickle).
+constexpr double kDwellCycleScale = 0.5;
+constexpr double kDepotCycleScale = 8.0;
+
 /// Padding around a train's crash spans, so consecutive recipes leave the
 /// shard time to rejoin and clear its alarms.
 constexpr Duration kRecipeMargin = seconds(300);
@@ -75,11 +80,11 @@ CompiledJourney compile(const JourneyPlan& plan, const CompilerOptions& opts) {
         for (const Segment& seg : tp.segments) {
             switch (seg.kind) {
                 case SegmentKind::kStation:
-                    ov.rate_windows.emplace_back(seg.at, seg.duration, opts.dwell_cycle_scale);
+                    ov.rate_windows.emplace_back(seg.at, seg.duration, kDwellCycleScale);
                     stations[t].push_back(&seg);
                     break;
                 case SegmentKind::kDepot:
-                    ov.rate_windows.emplace_back(seg.at, seg.duration, opts.depot_cycle_scale);
+                    ov.rate_windows.emplace_back(seg.at, seg.duration, kDepotCycleScale);
                     break;
                 case SegmentKind::kTunnel: {
                     FaultPlan::LinkFlap flap;

@@ -76,9 +76,6 @@ struct CompilerOptions {
     /// (the victim stays down for three rounds plus margin).
     Duration export_period{seconds(120)};
 
-    double dwell_cycle_scale = 0.5;
-    double depot_cycle_scale = 8.0;
-
     /// Byzantine population per train; counted against f when placing
     /// crash recipes (a crashed node plus a Byzantine node on a 4-node
     /// f=1 shard would exceed the budget).

@@ -10,6 +10,13 @@ namespace zc::journey {
 
 namespace {
 
+static_assert(kLegMin > Duration::zero() && kLegMin <= kLegMax);
+static_assert(kDwellMin > Duration::zero() && kDwellMin <= kDwellMax);
+static_assert(kTunnelMin > Duration::zero() && kTunnelMin <= kTunnelMax);
+static_assert(kTunnelProb >= 0.0 && kTunnelProb <= 1.0);
+static_assert(kDegradedTrainProb >= 0.0 && kDegradedTrainProb <= 1.0);
+static_assert(kDegradedMin >= 1.0 && kDegradedMin <= kDegradedMax);
+
 /// Uniform draw in [lo, hi] at one-second resolution (keeps plans tidy
 /// and their summaries readable; nothing downstream needs finer grain).
 Duration uniform_duration(Rng& rng, Duration lo, Duration hi) {
@@ -50,17 +57,6 @@ JourneyPlan generate(const JourneyConfig& config) {
     check(config.day_length > Duration::zero(), "day_length must be positive");
     check(config.service_length > Duration::zero() && config.service_length <= config.day_length,
           "service_length must be in (0, day_length]");
-    check(config.leg_min > Duration::zero() && config.leg_min <= config.leg_max,
-          "cruise leg range inverted or non-positive");
-    check(config.dwell_min > Duration::zero() && config.dwell_min <= config.dwell_max,
-          "dwell range inverted or non-positive");
-    check(config.tunnel_min > Duration::zero() && config.tunnel_min <= config.tunnel_max,
-          "tunnel range inverted or non-positive");
-    check(config.tunnel_prob >= 0.0 && config.tunnel_prob <= 1.0, "tunnel_prob outside [0,1]");
-    check(config.degraded_train_prob >= 0.0 && config.degraded_train_prob <= 1.0,
-          "degraded_train_prob outside [0,1]");
-    check(config.degraded_min >= 1.0 && config.degraded_min <= config.degraded_max,
-          "degraded multiplier range inverted or < 1");
 
     JourneyPlan plan;
     plan.seed = config.seed;
@@ -82,14 +78,13 @@ JourneyPlan generate(const JourneyConfig& config) {
             // station dwells until the next stop would spill past the
             // service window.
             while (true) {
-                const Duration leg = uniform_duration(rng, config.leg_min, config.leg_max);
-                if (now + leg + config.dwell_max >= service_end) break;
+                const Duration leg = uniform_duration(rng, kLegMin, kLegMax);
+                if (now + leg + kDwellMax >= service_end) break;
 
-                const bool tunneled =
-                    leg > config.tunnel_min * 2 && rng.chance(config.tunnel_prob);
+                const bool tunneled = leg > kTunnelMin * 2 && rng.chance(kTunnelProb);
                 if (tunneled) {
-                    const Duration tun = uniform_duration(
-                        rng, config.tunnel_min, std::min(config.tunnel_max, leg / 2));
+                    const Duration tun =
+                        uniform_duration(rng, kTunnelMin, std::min(kTunnelMax, leg / 2));
                     const Duration pre = (leg - tun) / 2;
                     tp.segments.emplace_back(SegmentKind::kCruise, now, pre);
                     tp.segments.emplace_back(SegmentKind::kTunnel, now + pre, tun);
@@ -101,7 +96,7 @@ JourneyPlan generate(const JourneyConfig& config) {
                 }
                 now = now + leg;
 
-                const Duration dwell = uniform_duration(rng, config.dwell_min, config.dwell_max);
+                const Duration dwell = uniform_duration(rng, kDwellMin, kDwellMax);
                 tp.segments.emplace_back(SegmentKind::kStation, now, dwell);
                 ++tp.stations;
                 now = now + dwell;
@@ -117,10 +112,9 @@ JourneyPlan generate(const JourneyConfig& config) {
             }
         }
 
-        if (rng.chance(config.degraded_train_prob)) {
+        if (rng.chance(kDegradedTrainProb)) {
             const NodeId node = static_cast<NodeId>(rng.next_below(config.nodes));
-            tp.cpu_profiles[node] =
-                uniform_factor(rng, config.degraded_min, config.degraded_max);
+            tp.cpu_profiles[node] = uniform_factor(rng, kDegradedMin, kDegradedMax);
         }
 
         plan.trains.push_back(std::move(tp));

@@ -59,6 +59,25 @@ struct TrainPlan {
     std::uint64_t tunnels = 0;   ///< dead-zone count over the horizon
 };
 
+// Cruise legs between stops.
+inline constexpr Duration kLegMin = seconds(240);
+inline constexpr Duration kLegMax = seconds(900);
+
+// Station dwells.
+inline constexpr Duration kDwellMin = seconds(45);
+inline constexpr Duration kDwellMax = seconds(150);
+
+// Tunnels: per-leg probability of a mid-leg dead zone.
+inline constexpr double kTunnelProb = 0.35;
+inline constexpr Duration kTunnelMin = seconds(45);
+inline constexpr Duration kTunnelMax = seconds(240);
+
+// Degraded device: per-train probability that one replica runs slow,
+// and the multiplier range it is drawn from.
+inline constexpr double kDegradedTrainProb = 0.5;
+inline constexpr double kDegradedMin = 1.5;
+inline constexpr double kDegradedMax = 3.0;
+
 struct JourneyConfig {
     std::uint64_t seed = 1;
     std::uint32_t trains = 1;
@@ -70,25 +89,6 @@ struct JourneyConfig {
     Duration day_length{seconds(86'400)};
     /// In-service window per day; the remainder is the depot layover.
     Duration service_length{seconds(64'800)};
-
-    // Cruise legs between stops.
-    Duration leg_min{seconds(240)};
-    Duration leg_max{seconds(900)};
-
-    // Station dwells.
-    Duration dwell_min{seconds(45)};
-    Duration dwell_max{seconds(150)};
-
-    // Tunnels: per-leg probability of a mid-leg dead zone.
-    double tunnel_prob = 0.35;
-    Duration tunnel_min{seconds(45)};
-    Duration tunnel_max{seconds(240)};
-
-    // Degraded device: per-train probability that one replica runs slow,
-    // and the multiplier range it is drawn from.
-    double degraded_train_prob = 0.5;
-    double degraded_min = 1.5;
-    double degraded_max = 3.0;
 };
 
 struct JourneyPlan {

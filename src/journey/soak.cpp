@@ -14,6 +14,20 @@ namespace zc::journey {
 
 namespace {
 
+// Bounded-memory plateau check. The reference for each metric is its
+// maximum over kReferenceSegments boundaries following kGraceSegments;
+// later boundaries may not exceed ref * (1 + slack) + floor.
+constexpr std::uint32_t kGraceSegments = 2;
+constexpr std::uint32_t kReferenceSegments = 3;
+constexpr double kMemSlack = 0.5;
+constexpr std::int64_t kMemFloorBytes = 8ll << 20;
+constexpr double kEventSlack = 1.0;
+constexpr std::int64_t kEventFloor = 1024;
+
+/// Health and rollup sampling cadence, widened from the short-run
+/// default so a multi-day soak does not drown in samples.
+constexpr Duration kFleetSamplePeriod = seconds(4);
+
 /// Everything sampled at one segment boundary.
 struct BoundaryProbe {
     std::uint64_t telegrams = 0;  ///< fleet-wide (sum of per-train max)
@@ -156,7 +170,7 @@ SoakReport run_soak(const SoakOptions& options) {
         const auto day = jc.day_length.count();
         jc.days = static_cast<std::uint32_t>((options.horizon.count() + day - 1) / day);
 
-        CompilerOptions co = options.compiler;
+        CompilerOptions co;
         co.n = options.base.n;
         co.f = options.base.f;
         co.fleet = fleet;
@@ -191,7 +205,7 @@ SoakReport run_soak(const SoakOptions& options) {
     fc.export_period = options.export_period;
     fc.warmup = options.base.warmup;
     fc.duration = options.horizon;
-    fc.sample_period = options.fleet_sample_period;
+    fc.sample_period = kFleetSamplePeriod;
     fc.audit = options.audit;
     // The template's own schedules and adversaries land on train 0; the
     // journey's plans follow them.
@@ -213,7 +227,7 @@ SoakReport run_soak(const SoakOptions& options) {
 
     std::map<std::string, PlateauState> plateau;
     std::vector<std::size_t> audit_seen(auditors.size(), 0);
-    const std::uint32_t ref_end = options.grace_segments + options.reference_segments;
+    const std::uint32_t ref_end = kGraceSegments + kReferenceSegments;
     std::uint64_t prev_telegrams = 0;
     Duration at{0};
     std::uint32_t idx = 0;
@@ -221,7 +235,7 @@ SoakReport run_soak(const SoakOptions& options) {
     const auto check_plateau = [&](const std::string& name, std::int64_t value, double slack,
                                    std::int64_t floor, Duration seg_start, Duration seg_end) {
         PlateauState& st = plateau[name];
-        if (idx < options.grace_segments) return;
+        if (idx < kGraceSegments) return;
         if (idx < ref_end) {
             st.ref = std::max(st.ref, value);
             return;
@@ -307,16 +321,16 @@ SoakReport run_soak(const SoakOptions& options) {
         seg.pending_events = p.pending;
         seg.dc_ingest_depth = p.dc_depth;
 
-        check_plateau("node-total-bytes", p.node_total, options.mem_slack,
-                      options.mem_floor_bytes, seg_start, at);
+        check_plateau("node-total-bytes", p.node_total, kMemSlack,
+                      kMemFloorBytes, seg_start, at);
         for (const auto& [name, value] : p.gauges) {
-            check_plateau("gauge:" + name, value, options.mem_slack, options.mem_floor_bytes,
+            check_plateau("gauge:" + name, value, kMemSlack, kMemFloorBytes,
                           seg_start, at);
         }
         check_plateau("pending-events", static_cast<std::int64_t>(p.pending),
-                      options.event_slack, options.event_floor, seg_start, at);
+                      kEventSlack, kEventFloor, seg_start, at);
         check_plateau("dc-ingest-depth", static_cast<std::int64_t>(p.dc_depth),
-                      options.event_slack, options.event_floor, seg_start, at);
+                      kEventSlack, kEventFloor, seg_start, at);
 
         rep.segments.push_back(seg);
         rep.alarms_fired = fired;

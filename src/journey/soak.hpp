@@ -58,25 +58,8 @@ struct SoakOptions {
     std::uint32_t recipes = 3;
     /// Journey shape knobs; seed/trains/days/nodes are derived.
     JourneyConfig journey;
-    /// Compiler knobs; n/f/fleet/dc_count/export_period are derived.
-    CompilerOptions compiler;
 
     bool audit = true;
-
-    // Bounded-memory plateau check. The reference for each metric is its
-    // maximum over `reference_segments` boundaries following
-    // `grace_segments`; later boundaries may not exceed
-    // ref * (1 + slack) + floor.
-    std::uint32_t grace_segments = 2;
-    std::uint32_t reference_segments = 3;
-    double mem_slack = 0.5;
-    std::int64_t mem_floor_bytes = 8ll << 20;
-    double event_slack = 1.0;
-    std::int64_t event_floor = 1024;
-
-    /// Health and rollup sampling cadence, widened from the short-run
-    /// default so a multi-day soak does not drown in samples.
-    Duration fleet_sample_period{seconds(4)};
 };
 
 struct SoakViolation {

@@ -23,11 +23,12 @@
 
 namespace zc::pbft {
 
+inline constexpr Duration kAdaptiveFloor = milliseconds(100);  ///< lower clamp on the base
+inline constexpr Duration kAdaptiveCap = seconds(60);  ///< upper clamp (also bounds backoff)
+inline constexpr std::int64_t kRttFactor = 4;  ///< budget in units of (srtt + 4*rttvar)
+
 struct AdaptiveTimeoutConfig {
     bool enabled = false;
-    Duration floor{milliseconds(100)};  ///< lower clamp on the adaptive base
-    Duration cap{seconds(60)};          ///< upper clamp (also bounds backoff)
-    std::uint32_t rtt_factor = 4;       ///< budget in units of (srtt + 4*rttvar)
 };
 
 class AdaptiveTimeout {
@@ -56,13 +57,12 @@ public:
     Duration base() const {
         if (!config_.enabled || samples_ == 0) return fixed_;
         const std::int64_t rto = srtt_ns_ + 4 * rttvar_ns_;
-        const std::int64_t scaled = rto * static_cast<std::int64_t>(config_.rtt_factor);
-        return Duration{std::clamp(scaled, config_.floor.count(), config_.cap.count())};
+        return Duration{std::clamp(rto * kRttFactor, kAdaptiveFloor.count(), kAdaptiveCap.count())};
     }
 
     /// Base with exponential backoff for the given consecutive-failure
     /// count (exponent capped at 6). The adaptive path additionally clamps
-    /// to `cap`; the disabled path reproduces the legacy fixed schedule
+    /// to kAdaptiveCap; the disabled path reproduces the legacy fixed schedule
     /// exactly (fixed * 2^exponent, uncapped).
     Duration with_backoff(std::uint32_t attempts) const {
         const int exponent = static_cast<int>(std::min<std::uint32_t>(attempts, 6));
@@ -70,7 +70,7 @@ public:
             return fixed_ * (1ll << exponent);
         }
         const std::int64_t backed = base().count() << exponent;
-        return Duration{std::min(backed, config_.cap.count())};
+        return Duration{std::min(backed, kAdaptiveCap.count())};
     }
 
     bool enabled() const noexcept { return config_.enabled; }

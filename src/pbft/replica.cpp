@@ -156,7 +156,7 @@ bool Replica::assign_and_propose(const Request& request) {
     // ever scheduled there). Otherwise hold the batch open until the
     // linger timer armed by its first request expires.
     if (open_batch_.size() >= config_.max_batch_requests ||
-        open_batch_bytes_ >= config_.max_batch_bytes ||
+        open_batch_bytes_ >= kMaxBatchBytes ||
         config_.batch_linger == Duration::zero()) {
         flush_batch();
     } else if (batch_timer_ == sim::kInvalidEvent) {
@@ -585,7 +585,7 @@ void Replica::make_stable(SeqNo seq, const crypto::Digest& state) {
     proof.state = state;
     for (const auto& [id, msg] : checkpoints_[seq][state]) proof.messages.push_back(msg);
     stable_proofs_[seq] = std::move(proof);
-    while (stable_proofs_.size() > config_.proof_retention) {
+    while (stable_proofs_.size() > kProofRetention) {
         stable_proofs_.erase(stable_proofs_.begin());
     }
     stats_.checkpoints_stable += 1;

@@ -73,6 +73,12 @@ public:
     virtual void sync_state(SeqNo seq, const crypto::Digest& state) { (void)seq; (void)state; }
 };
 
+/// Payload bytes that flush an open batch (see ReplicaConfig).
+inline constexpr std::size_t kMaxBatchBytes = 128 * 1024;
+
+/// How many stable checkpoint proofs to retain for the export protocol.
+inline constexpr std::size_t kProofRetention = 64;
+
 struct ReplicaConfig {
     NodeId id = 0;
     std::uint32_t n = 4;
@@ -92,12 +98,11 @@ struct ReplicaConfig {
     /// Batch ordering: the primary accumulates proposals into an open
     /// batch and runs one three-phase instance per batch. A batch is
     /// flushed when it reaches `max_batch_requests` requests or
-    /// `max_batch_bytes` of payload, or when `batch_linger` elapses after
+    /// kMaxBatchBytes of payload, or when `batch_linger` elapses after
     /// the first request entered the batch. The default of 1 preserves the
     /// classic request-per-instance pipeline (and schedules no linger
     /// events, keeping same-seed runs byte-identical to it).
     std::uint32_t max_batch_requests = 1;
-    std::size_t max_batch_bytes = 128 * 1024;
     Duration batch_linger{0};
 
     /// Bound on the primary's watermark-blocked proposal queue; overflow
@@ -120,9 +125,6 @@ struct ReplicaConfig {
     /// request digest that is in flight or recently decided. Disabled when
     /// simulating a faulty primary that proposes duplicates.
     bool dedup_proposals = true;
-
-    /// How many stable checkpoint proofs to retain for the export protocol.
-    std::size_t proof_retention = 64;
 
     /// Restart support: a recovering replica rejoins in the view the
     /// cluster is believed to run (hint from the harness) with its

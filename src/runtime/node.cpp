@@ -26,8 +26,8 @@ struct Node::PbftTransportAdapter final : pbft::Transport {
         // The adversary may tamper per recipient, so its traffic stays
         // per peer; an honest broadcast is encoded once.
         if (node.adversary_ != nullptr) {
-            for (std::uint32_t i = 0; i < node.options_.n; ++i) {
-                if (i != node.options_.id) send(i, m);
+            for (std::uint32_t i = 0; i < node.config_.n; ++i) {
+                if (i != node.id_) send(i, m);
             }
             return;
         }
@@ -51,7 +51,7 @@ struct Node::LayerTransportAdapter final : zugchain::LayerTransport {
     }
 
     void forward(NodeId to, const pbft::Request& request) override {
-        if (to == node.options_.id) return;
+        if (to == node.id_) return;
         pbft::Request r = request;
         if (node.adversary_ != nullptr && !node.adversary_->mutate_layer(r)) return;
         node.send_enveloped(
@@ -89,7 +89,7 @@ struct Node::AppShim final : pbft::Application {
     explicit AppShim(Node& node) : node(node) {}
 
     void deliver(const pbft::Request& request, SeqNo seq) override {
-        if (node.options_.mode == Mode::kZugChain) {
+        if (node.config_.mode == Mode::kZugChain) {
             node.layer_->deliver(request, seq);
         } else {
             if (!request.is_null()) node.record_logged(request, request.payload_digest());
@@ -104,7 +104,7 @@ struct Node::AppShim final : pbft::Application {
     }
 
     void new_primary(View view, NodeId primary) override {
-        if (node.options_.mode == Mode::kZugChain) {
+        if (node.config_.mode == Mode::kZugChain) {
             node.layer_->new_primary(view, primary);
         } else {
             node.baseline_app_->new_primary(view, primary);
@@ -112,11 +112,11 @@ struct Node::AppShim final : pbft::Application {
     }
 
     void stable_checkpoint(SeqNo seq, const pbft::CheckpointProof& proof) override {
-        if (node.options_.mode == Mode::kZugChain) node.layer_->stable_checkpoint(seq, proof);
+        if (node.config_.mode == Mode::kZugChain) node.layer_->stable_checkpoint(seq, proof);
     }
 
     void preprepared(const pbft::Request& request) override {
-        if (node.options_.mode == Mode::kZugChain) node.layer_->preprepared(request);
+        if (node.config_.mode == Mode::kZugChain) node.layer_->preprepared(request);
     }
 
     void sync_state(SeqNo seq, const crypto::Digest& state) override {
@@ -147,7 +147,7 @@ struct Node::ClientSenderAdapter final : baseline::ClientSender {
 
     void to_primary(const pbft::Request& request) override {
         const NodeId primary = node.replica_->primary();
-        if (primary == node.options_.id) {
+        if (primary == node.id_) {
             node.replica_->propose(request);
         } else {
             node.send_enveloped(primary, Channel::kPbft,
@@ -157,8 +157,8 @@ struct Node::ClientSenderAdapter final : baseline::ClientSender {
 
     void to_all(const pbft::Request& request) override {
         const Bytes body = pbft::encode_message(pbft::Message{request});
-        for (std::uint32_t i = 0; i < node.options_.n; ++i) {
-            if (i == node.options_.id) {
+        for (std::uint32_t i = 0; i < node.config_.n; ++i) {
+            if (i == node.id_) {
                 node.replica_->propose(request);
             } else {
                 node.send_enveloped(i, Channel::kPbft, body);
@@ -171,21 +171,32 @@ struct Node::ClientSenderAdapter final : baseline::ClientSender {
 
 // ---- Node ---------------------------------------------------------------
 
-Node::Node(NodeOptions options, sim::Simulation& sim, net::Network& network,
+namespace {
+
+/// The protocol stack handles messages on one thread of the quad-core
+/// M-COM (ScenarioConfig::device_cores).
+constexpr int kProtocolCores = 1;
+
+/// Bounded receive buffer (messages); overflow drops.
+constexpr std::size_t kRxQueueLimit = 2048;
+
+}  // namespace
+
+Node::Node(const ScenarioConfig& config, NodeId id, sim::Simulation& sim, net::Network& network,
            crypto::CryptoProvider& provider, const crypto::KeyDirectory& directory,
            crypto::KeyPair key, const metrics::CostModel& costs)
-    : options_(options), sim_(sim), network_(network), costs_(costs),
-      store_(memory_.gauge("chain"), options.store_dir),
-      byz_rng_(sim.rng().fork("byz-" + std::to_string(options.id))) {
+    : config_(config), id_(id),
+      byzantine_(config.byzantine.contains(id) ? config.byzantine.at(id) : ByzantineBehavior{}),
+      sim_(sim), network_(network), costs_(costs), store_(memory_.gauge("chain"), store_dir()),
+      byz_rng_(sim.rng().fork("byz-" + std::to_string(id))) {
     crypto_ = std::make_unique<crypto::CryptoContext>(provider, directory, std::move(key), costs,
                                                       meter_);
-    executor_ = std::make_unique<sim::MeteredExecutor>(sim, options_.protocol_cores,
-                                                       options_.rx_queue_limit);
+    executor_ = std::make_unique<sim::MeteredExecutor>(sim, kProtocolCores, kRxQueueLimit);
     rx_gauge_ = memory_.gauge("rx-queue");
 
-    if (options_.byzantine.any()) {
-        adversary_ = std::make_unique<faults::Adversary>(options_.byzantine, options_.id,
-                                                         options_.n, sim_, *crypto_);
+    if (byzantine_.any()) {
+        adversary_ =
+            std::make_unique<faults::Adversary>(byzantine_, id_, config_.n, sim_, *crypto_);
         adversary_->set_pbft_emit([this](NodeId to, const pbft::Message& m) {
             send_enveloped(to, Channel::kPbft, pbft::encode_message(m));
         });
@@ -194,7 +205,7 @@ Node::Node(NodeOptions options, sim::Simulation& sim, net::Network& network,
     pbft_transport_ = std::make_unique<PbftTransportAdapter>(*this);
     export_transport_ = std::make_unique<ExportTransportAdapter>(*this);
     app_shim_ = std::make_unique<AppShim>(*this);
-    if (options_.mode == Mode::kZugChain) {
+    if (config_.mode == Mode::kZugChain) {
         layer_transport_ = std::make_unique<LayerTransportAdapter>(*this);
         consensus_adapter_ = std::make_unique<ConsensusAdapter>(*this);
         log_shim_ = std::make_unique<LogShim>(*this);
@@ -205,46 +216,46 @@ Node::Node(NodeOptions options, sim::Simulation& sim, net::Network& network,
     build_stack(/*start_view=*/0, /*start_seq=*/0);
 }
 
+std::optional<std::filesystem::path> Node::store_dir() const {
+    if (!config_.store_root) return std::nullopt;
+    return *config_.store_root / ("node-" + std::to_string(id_));
+}
+
 void Node::build_stack(View start_view, SeqNo start_seq) {
-    chain_app_ = std::make_unique<zugchain::ChainApp>(store_, *crypto_, options_.block_size);
+    chain_app_ = std::make_unique<zugchain::ChainApp>(store_, *crypto_, config_.block_size);
 
     pbft::ReplicaConfig rcfg;
-    rcfg.id = options_.id;
-    rcfg.n = options_.n;
-    rcfg.f = options_.f;
-    rcfg.checkpoint_interval = options_.block_size;
-    rcfg.view_change_timeout = options_.view_change_timeout;
-    rcfg.adaptive = options_.adaptive_timeouts;
+    rcfg.id = id_;
+    rcfg.n = config_.n;
+    rcfg.f = config_.f;
+    rcfg.checkpoint_interval = config_.block_size;
+    rcfg.adaptive = config_.adaptive_timeouts;
     rcfg.request_timeout =
-        options_.mode == Mode::kBaseline ? options_.request_timeout : Duration::zero();
-    rcfg.dedup_proposals = options_.byzantine.duplicate_rate <= 0.0;
-    rcfg.max_batch_requests = options_.batch_max_requests;
-    rcfg.max_batch_bytes = options_.batch_max_bytes;
-    rcfg.batch_linger = options_.batch_linger;
+        config_.mode == Mode::kBaseline ? baseline::kRequestTimeout : Duration::zero();
+    rcfg.dedup_proposals = byzantine_.duplicate_rate <= 0.0;
+    rcfg.max_batch_requests = config_.batch_max_requests;
+    rcfg.batch_linger = config_.batch_linger;
     rcfg.start_view = start_view;
     rcfg.start_seq = start_seq;
 
     replica_ = std::make_unique<pbft::Replica>(rcfg, sim_, *crypto_, *pbft_transport_,
                                                *app_shim_, memory_.gauge("pbft-log"));
-    replica_->set_trace(options_.trace);
-    store_.set_trace({options_.trace, options_.id, sim_.now_handle()});
+    replica_->set_trace(config_.trace_sink);
+    store_.set_trace({config_.trace_sink, id_, sim_.now_handle()});
 
-    if (options_.mode == Mode::kZugChain) {
+    if (config_.mode == Mode::kZugChain) {
         zugchain::LayerConfig lcfg;
-        lcfg.id = options_.id;
-        lcfg.soft_timeout = options_.soft_timeout;
-        lcfg.hard_timeout = options_.hard_timeout;
-        lcfg.adaptive = options_.adaptive_timeouts;
-        lcfg.max_open_per_origin = options_.max_open_per_origin;
+        lcfg.id = id_;
+        lcfg.soft_timeout = config_.soft_timeout;
+        lcfg.hard_timeout = config_.hard_timeout;
+        lcfg.adaptive = config_.adaptive_timeouts;
+        lcfg.max_open_per_origin = config_.max_open_per_origin;
         layer_ = std::make_unique<zugchain::CommunicationLayer>(
             lcfg, sim_, *crypto_, *layer_transport_, *log_shim_, memory_.gauge("layer-queue"));
         layer_->attach_consensus(*consensus_adapter_);
-        layer_->set_trace(options_.trace);
+        layer_->set_trace(config_.trace_sink);
     } else {
-        baseline::ClientConfig ccfg;
-        ccfg.id = options_.id;
-        ccfg.retransmit_timeout = options_.client_timeout;
-        client_ = std::make_unique<baseline::BaselineClient>(ccfg, sim_, *crypto_,
+        client_ = std::make_unique<baseline::BaselineClient>(id_, sim_, *crypto_,
                                                              *client_sender_);
         baseline_app_ = std::make_unique<baseline::BaselineApp>(*chain_app_, *client_);
     }
@@ -254,13 +265,13 @@ void Node::build_stack(View start_view, SeqNo start_seq) {
     if (start_view > 0) app_shim_->new_primary(start_view, replica_->primary_of(start_view));
 
     exporter::ServerConfig ecfg;
-    ecfg.id = options_.id;
-    ecfg.checkpoint_interval = options_.block_size;
-    ecfg.delete_quorum = options_.delete_quorum;
+    ecfg.id = id_;
+    ecfg.checkpoint_interval = config_.block_size;
+    ecfg.delete_quorum = config_.delete_quorum;
     export_server_ =
         std::make_unique<exporter::ExportServer>(ecfg, *crypto_, store_, *export_transport_);
     export_server_->set_proof_provider([this] { return replica_->latest_stable_proof(); });
-    export_server_->set_trace({options_.trace, options_.id, sim_.now_handle()});
+    export_server_->set_trace({config_.trace_sink, id_, sim_.now_handle()});
 }
 
 Node::~Node() = default;
@@ -273,7 +284,7 @@ void Node::crash() noexcept {
     // network messages get dropped (and counted) at the receiver NIC.
     executor_->clear_queue();
     rx_gauge_->set(0);
-    network_.set_endpoint_down(options_.id, true);
+    network_.set_endpoint_down(id_, true);
     // Power loss wipes the RAM verified-signature memo: after restart the
     // node pays full verification cost again, like the real device would.
     crypto_->reset_memo();
@@ -283,9 +294,9 @@ void Node::crash() noexcept {
     // that was never slow. The same goes for the adversary's delayed sends.
     if (replica_) replica_->cancel_timers();
     if (adversary_) adversary_->cancel_pending();
-    if (options_.auditor != nullptr) options_.auditor->note_crashed(options_.id);
-    if (options_.trace != nullptr) {
-        options_.trace->event(options_.id, sim_.now(), trace::Phase::kNodeDown, options_.id,
+    if (config_.auditor != nullptr) config_.auditor->note_crashed(id_);
+    if (config_.trace_sink != nullptr) {
+        config_.trace_sink->event(id_, sim_.now(), trace::Phase::kNodeDown, id_,
                               store_.head_height());
     }
 }
@@ -311,12 +322,11 @@ void Node::restart(View start_view) {
     // prefix and refilled by state transfer after rejoin. Without a store
     // directory the chain restarts from genesis (pure in-memory deployment).
     last_recovery_ = chain::RecoveryReport{};
-    if (options_.store_dir) {
-        store_ = chain::BlockStore::load(*options_.store_dir, memory_.gauge("chain"),
-                                         &last_recovery_);
+    if (const auto dir = store_dir()) {
+        store_ = chain::BlockStore::load(*dir, memory_.gauge("chain"), &last_recovery_);
         if (!last_recovery_.clean()) {
             ZC_WARN("node", "node {} store recovery discarded {} block(s), resuming at head {}",
-                    options_.id, last_recovery_.blocks_discarded,
+                    id_, last_recovery_.blocks_discarded,
                     last_recovery_.recovered_head);
         }
     } else {
@@ -325,26 +335,26 @@ void Node::restart(View start_view) {
 
     // Resume consensus at the durable head: the next checkpoint the peers
     // stabilize beyond it triggers sync_state -> state transfer.
-    build_stack(start_view, store_.head_height() * options_.block_size);
+    build_stack(start_view, store_.head_height() * config_.block_size);
 
     alive_ = true;
-    network_.set_endpoint_down(options_.id, false);
-    if (options_.trace != nullptr) {
-        options_.trace->event(options_.id, sim_.now(), trace::Phase::kNodeRestart, options_.id,
+    network_.set_endpoint_down(id_, false);
+    if (config_.trace_sink != nullptr) {
+        config_.trace_sink->event(id_, sim_.now(), trace::Phase::kNodeRestart, id_,
                               store_.head_height());
     }
 }
 
 void Node::send_enveloped(net::EndpointId to, Channel channel, BytesView body) {
     if (!alive_) return;
-    network_.send(options_.id, to, encode_envelope(channel, body));
+    network_.send(id_, to, encode_envelope(channel, body));
 }
 
 void Node::broadcast_enveloped(Channel channel, BytesView body) {
     if (!alive_) return;
     const Bytes wire = encode_envelope(channel, body);
-    for (std::uint32_t i = 0; i < options_.n; ++i) {
-        if (i != options_.id) network_.send(options_.id, i, wire);
+    for (std::uint32_t i = 0; i < config_.n; ++i) {
+        if (i != id_) network_.send(id_, i, wire);
     }
 }
 
@@ -370,9 +380,9 @@ void Node::process_telegram(std::uint32_t source, const bus::Telegram& telegram)
     const Bytes payload = codec::encode_to_bytes(*record);
     const crypto::Digest payload_digest = crypto::sha256(payload);
     record_receive_time(payload_digest);
-    if (options_.auditor != nullptr) options_.auditor->note_received(options_.id, payload_digest);
-    if (options_.trace != nullptr) {
-        options_.trace->event(options_.id, sim_.now(), trace::Phase::kBusReceive,
+    if (config_.auditor != nullptr) config_.auditor->note_received(id_, payload_digest);
+    if (config_.trace_sink != nullptr) {
+        config_.trace_sink->event(id_, sim_.now(), trace::Phase::kBusReceive,
                               trace::trace_id_from(payload_digest.data()), payload.size());
     }
 
@@ -380,7 +390,7 @@ void Node::process_telegram(std::uint32_t source, const bus::Telegram& telegram)
     // cycle counters sign distinct requests.
     const std::uint64_t uniquifier =
         (static_cast<std::uint64_t>(source) << 48) | telegram.cycle;
-    if (options_.mode == Mode::kZugChain) {
+    if (config_.mode == Mode::kZugChain) {
         layer_->receive(payload, payload_digest, uniquifier, source);
     } else {
         client_->receive(payload, uniquifier);
@@ -395,7 +405,7 @@ void Node::request_emergency_trim(Height up_to) {
     executor_->submit([this, up_to] {
         const Bytes payload = zugchain::ChainApp::make_trim_request(up_to);
         const std::uint64_t uniquifier = (1ull << 56) + up_to;
-        if (options_.mode == Mode::kZugChain) {
+        if (config_.mode == Mode::kZugChain) {
             layer_->receive(payload, crypto::sha256(payload), uniquifier);
         } else {
             client_->receive(payload, uniquifier);
@@ -405,16 +415,16 @@ void Node::request_emergency_trim(Height up_to) {
 }
 
 void Node::maybe_fabricate(const bus::Telegram& telegram) {
-    const ByzantineBehavior& byz = options_.byzantine;
+    const ByzantineBehavior& byz = byzantine_;
     if (byz.fabricate_rate <= 0.0 || !byz_rng_.chance(byz.fabricate_rate)) return;
-    if (options_.mode != Mode::kZugChain) return;
+    if (config_.mode != Mode::kZugChain) return;
 
     // Fabricated requests: data never sent on the bus, sized like a real
     // record so the load comparison is fair.
     for (std::uint32_t i = 0; i < std::max(1u, byz.fabricate_burst); ++i) {
         pbft::Request fake;
         fake.payload = byz_rng_.bytes(std::max<std::size_t>(telegram.payload.size() / 2, 48));
-        fake.origin = options_.id;
+        fake.origin = id_;
         fake.origin_seq = (1ull << 48) + fabricate_counter_++;
         fake.sig = crypto_->sign(fake.signing_bytes());
         layer_transport_->broadcast(fake);
@@ -423,16 +433,16 @@ void Node::maybe_fabricate(const bus::Telegram& telegram) {
 }
 
 void Node::maybe_duplicate() {
-    const ByzantineBehavior& byz = options_.byzantine;
+    const ByzantineBehavior& byz = byzantine_;
     if (byz.duplicate_rate <= 0.0 || recent_payloads_.empty()) return;
     if (!byz_rng_.chance(byz.duplicate_rate)) return;
-    if (replica_->primary() != options_.id) return;
+    if (replica_->primary() != id_) return;
 
     // Faulty primary re-proposes an already-logged payload under a fresh
     // uniquifier, bypassing the layer's filtering.
     pbft::Request dup;
     dup.payload = recent_payloads_[byz_rng_.next_below(recent_payloads_.size())];
-    dup.origin = options_.id;
+    dup.origin = id_;
     dup.origin_seq = (1ull << 52) + fabricate_counter_++;
     dup.sig = crypto_->sign(dup.signing_bytes());
     if (adversary_) adversary_->stats_mut().duplicates_proposed += 1;
@@ -446,7 +456,7 @@ void Node::record_receive_time(const crypto::Digest& payload_digest) {
 }
 
 void Node::record_logged(const pbft::Request& request, const crypto::Digest& digest) {
-    if (options_.auditor != nullptr) options_.auditor->note_logged(options_.id, digest);
+    if (config_.auditor != nullptr) config_.auditor->note_logged(id_, digest);
     const auto it = receive_times_.find(digest);
     if (it != receive_times_.end()) {
         const Duration lat = sim_.now() - it->second;
@@ -456,7 +466,7 @@ void Node::record_logged(const pbft::Request& request, const crypto::Digest& dig
         }
         receive_times_.erase(it);
     }
-    if (options_.byzantine.duplicate_rate > 0.0) {
+    if (byzantine_.duplicate_rate > 0.0) {
         recent_payloads_.push_back(request.payload);
         if (recent_payloads_.size() > 64) recent_payloads_.pop_front();
     }
@@ -481,14 +491,14 @@ void Node::dispatch(net::EndpointId from, BytesView raw) {
     const BytesView body = envelope->body;
     switch (envelope->channel) {
         case Channel::kPbft: {
-            if (from >= options_.n) return;
+            if (from >= config_.n) return;
             if (const auto m = pbft::decode_message(body)) {
                 replica_->on_message(static_cast<NodeId>(from), *m);
             }
             break;
         }
         case Channel::kLayer: {
-            if (from >= options_.n || options_.mode != Mode::kZugChain) return;
+            if (from >= config_.n || config_.mode != Mode::kZugChain) return;
             if (const auto peer = zugchain::decode_peer_request(body)) {
                 layer_->on_peer_request(static_cast<NodeId>(from), peer->request, peer->forwarded);
             }

@@ -23,6 +23,7 @@
 #include "metrics/stats.hpp"
 #include "net/network.hpp"
 #include "pbft/replica.hpp"
+#include "runtime/scenario_config.hpp"
 #include "runtime/wire.hpp"
 #include "sim/executor.hpp"
 #include "trace/trace.hpp"
@@ -32,71 +33,12 @@
 
 namespace zc::runtime {
 
-enum class Mode { kZugChain, kBaseline };
-
-/// Byzantine knobs (all off = honest node). The legacy Fig. 9 fields
-/// (fabricate_rate, preprepare_delay, drop_preprepares, duplicate_rate,
-/// mute, …) are now the first block of faults::AdversaryConfig; the full
-/// safety-attack surface and named profiles live in src/faults.
-using ByzantineBehavior = faults::AdversaryConfig;
-
-struct NodeOptions {
-    NodeId id = 0;
-    std::uint32_t n = 4;
-    std::uint32_t f = 1;
-    Mode mode = Mode::kZugChain;
-
-    SeqNo block_size = 10;  ///< requests per block = checkpoint interval
-
-    // ZugChain layer timers (Fig. 8: 250 ms + 250 ms).
-    Duration soft_timeout{milliseconds(250)};
-    Duration hard_timeout{milliseconds(250)};
-    std::size_t max_open_per_origin = 32;
-
-    // Baseline timers (Fig. 8: 500 ms).
-    Duration client_timeout{milliseconds(500)};
-    Duration request_timeout{milliseconds(500)};
-
-    Duration view_change_timeout{milliseconds(2000)};
-
-    /// Adaptive timeouts (Jacobson RTT tracking): applied to the replica's
-    /// view-change timer and the layer's soft/hard suspicion timers.
-    /// Disabled = the fixed values above (legacy schedule).
-    pbft::AdaptiveTimeoutConfig adaptive_timeouts;
-
-    // PBFT batch ordering: one three-phase instance per batch. 1 request
-    // per batch (and no linger) reproduces the classic pipeline.
-    std::uint32_t batch_max_requests = 1;
-    std::size_t batch_max_bytes = 128 * 1024;
-    Duration batch_linger{0};
-
-    /// The M-COM is quad-core but the protocol stack handles messages on a
-    /// single thread; utilization is reported against `device_cores`.
-    int device_cores = 4;
-    int protocol_cores = 1;
-
-    /// Bounded receive buffer (messages); overflow drops.
-    std::size_t rx_queue_limit = 2048;
-
-    std::size_t delete_quorum = 2;  ///< export: DC deletes needed to prune
-
-    std::optional<std::filesystem::path> store_dir;
-
-    /// Request-lifecycle trace sink shared across the node's components
-    /// (null = tracing off; every trace point is a single pointer test).
-    trace::TraceSink* trace = nullptr;
-
-    ByzantineBehavior byzantine;
-
-    /// Safety auditor taps (null = auditing off). The node reports bus
-    /// inputs, logged payloads and crashes; the auditor checks Alg. 1's
-    /// no-lost-input guarantee from them.
-    faults::SafetyAuditor* auditor = nullptr;
-};
-
 class Node final : public net::Endpoint, public bus::BusTap {
 public:
-    Node(NodeOptions options, sim::Simulation& sim, net::Network& network,
+    /// Node `id` of the consist `config` describes. The node keeps a
+    /// reference to `config`, which must outlive it (a TrainShard owns its
+    /// consist's copy).
+    Node(const ScenarioConfig& config, NodeId id, sim::Simulation& sim, net::Network& network,
          crypto::CryptoProvider& provider, const crypto::KeyDirectory& directory,
          crypto::KeyPair key, const metrics::CostModel& costs);
     ~Node() override;
@@ -138,7 +80,7 @@ public:
     void set_measuring(bool on) noexcept { measuring_ = on; }
 
     // -- observers ---------------------------------------------------------
-    NodeId id() const noexcept { return options_.id; }
+    NodeId id() const noexcept { return id_; }
     pbft::Replica& replica() noexcept { return *replica_; }
     zugchain::CommunicationLayer* layer() noexcept { return layer_.get(); }
     baseline::BaselineClient* client() noexcept { return client_.get(); }
@@ -178,6 +120,9 @@ private:
     /// replica for a rejoin (0/0 on first boot).
     void build_stack(View start_view, SeqNo start_seq);
 
+    /// store_root/node-<id>, or none for an in-memory chain.
+    std::optional<std::filesystem::path> store_dir() const;
+
     /// Decodes one inbound envelope and its channel payload, then hands it
     /// to the replica, layer or export server.
     void dispatch(net::EndpointId from, BytesView raw);
@@ -190,7 +135,9 @@ private:
     /// Sends one envelope, encoded once, to every peer replica.
     void broadcast_enveloped(Channel channel, BytesView body);
 
-    NodeOptions options_;
+    const ScenarioConfig& config_;
+    const NodeId id_;
+    const ByzantineBehavior byzantine_;  ///< this node's entry of config_.byzantine
     sim::Simulation& sim_;
     net::Network& network_;
     const metrics::CostModel& costs_;

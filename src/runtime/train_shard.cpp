@@ -9,6 +9,13 @@
 
 namespace zc::runtime {
 
+namespace {
+
+/// The data centers' interconnect (DC <-> DC sync).
+constexpr net::LinkProfile kDcLink{milliseconds(8), milliseconds(2), 1e9, 0.0};
+
+}  // namespace
+
 /// Adapts a secondary bus tap to a node input source.
 struct TrainShard::SourceTap final : bus::BusTap {
     SourceTap(Node& node, std::uint32_t source) : node(node), source(source) {}
@@ -20,7 +27,7 @@ struct TrainShard::SourceTap final : bus::BusTap {
 };
 
 TrainShard::TrainShard(ScenarioConfig config, ShardEnv env)
-    : config_(std::make_unique<ScenarioConfig>(std::move(config))), env_(env) {
+    : config_(std::move(config)), env_(env) {
     build();
 }
 
@@ -29,7 +36,7 @@ TrainShard::~TrainShard() = default;
 void TrainShard::build() {
     ZC_PROF_SCOPE(kSetup);
     sim::Simulation& sim = *env_.sim;
-    const ScenarioConfig& cfg = *config_;
+    const ScenarioConfig& cfg = config_;
 
     // Network topology: full mesh of train Ethernet between nodes; LTE
     // between train and data centers; fast interconnect between DCs.
@@ -44,7 +51,7 @@ void TrainShard::build() {
     }
     for (std::uint32_t a = 0; a < cfg.dc_count; ++a) {
         for (std::uint32_t b = 0; b < cfg.dc_count; ++b) {
-            if (a != b) net.set_profile(kDcEndpointBase + a, kDcEndpointBase + b, cfg.dc_link);
+            if (a != b) net.set_profile(kDcEndpointBase + a, kDcEndpointBase + b, kDcLink);
         }
     }
 
@@ -83,10 +90,7 @@ void TrainShard::build() {
     }
 
     // Signal source and bus.
-    train::GeneratorConfig gen_cfg;
-    gen_cfg.payload_size = cfg.payload_size;
-    generator_ = std::make_unique<train::SignalGenerator>(
-        gen_cfg, sim.rng().fork("atp"));
+    generator_ = std::make_unique<train::SignalGenerator>(cfg.payload_size, sim.rng().fork("atp"));
     bus_ = std::make_unique<bus::Bus>(sim, cfg.bus_cycle, *generator_);
 
     // Timetable-driven telegram-rate windows: the bus master retunes its
@@ -102,34 +106,6 @@ void TrainShard::build() {
 
     // Nodes.
     for (std::uint32_t i = 0; i < cfg.n; ++i) {
-        NodeOptions opts;
-        opts.id = i;
-        opts.n = cfg.n;
-        opts.f = cfg.f;
-        opts.mode = cfg.mode;
-        opts.block_size = cfg.block_size;
-        opts.soft_timeout = cfg.soft_timeout;
-        opts.hard_timeout = cfg.hard_timeout;
-        opts.max_open_per_origin = cfg.max_open_per_origin;
-        opts.client_timeout = cfg.client_timeout;
-        opts.request_timeout = cfg.request_timeout;
-        opts.view_change_timeout = cfg.view_change_timeout;
-        opts.adaptive_timeouts = cfg.adaptive_timeouts;
-        opts.batch_max_requests = cfg.batch_max_requests;
-        opts.batch_max_bytes = cfg.batch_max_bytes;
-        opts.batch_linger = cfg.batch_linger;
-        opts.device_cores = cfg.device_cores;
-        opts.protocol_cores = cfg.protocol_cores;
-        opts.rx_queue_limit = cfg.rx_queue_limit;
-        opts.delete_quorum = cfg.delete_quorum;
-        opts.trace = cfg.trace_sink;
-        opts.auditor = cfg.auditor;
-        const auto byz = cfg.byzantine.find(i);
-        if (byz != cfg.byzantine.end()) opts.byzantine = byz->second;
-        if (cfg.store_root) {
-            opts.store_dir = *cfg.store_root / ("node-" + std::to_string(i));
-        }
-
         // Degraded-device profile: a scaled cost table owned by the shard
         // (Node keeps a reference, so the copy must outlive it).
         const metrics::CostModel* costs = &node_costs_;
@@ -140,7 +116,7 @@ void TrainShard::build() {
             costs = degraded_costs_.back().get();
         }
 
-        nodes_.push_back(std::make_unique<Node>(opts, sim, *env_.net, *env_.provider,
+        nodes_.push_back(std::make_unique<Node>(cfg, i, sim, *env_.net, *env_.provider,
                                                 directory_, node_keys[i], *costs));
         env_.net->attach(i, nodes_.back().get());
 
@@ -154,10 +130,8 @@ void TrainShard::build() {
     for (std::size_t b = 0; b < cfg.extra_buses.size(); ++b) {
         const auto& spec = cfg.extra_buses[b];
         ExtraBusRig rig;
-        train::GeneratorConfig extra_gen;
-        extra_gen.payload_size = spec.payload_size;
         rig.generator = std::make_unique<train::SignalGenerator>(
-            extra_gen, sim.rng().fork("extra-bus-" + std::to_string(b)));
+            spec.payload_size, sim.rng().fork("extra-bus-" + std::to_string(b)));
         rig.bus = std::make_unique<bus::Bus>(sim, spec.cycle, *rig.generator);
         for (auto& node : nodes_) {
             rig.taps.push_back(
@@ -173,7 +147,7 @@ void TrainShard::build() {
 
 void TrainShard::schedule_faults() {
     sim::Simulation& sim = *env_.sim;
-    const ScenarioConfig& cfg = *config_;
+    const ScenarioConfig& cfg = config_;
     for (const auto& c : cfg.crash_schedule) {
         const NodeId id = c.node;
         sim.schedule(c.at, [this, id] { crash_node(id); });
@@ -205,7 +179,7 @@ void TrainShard::schedule_faults() {
 }
 
 void TrainShard::apply_flap(const FaultPlan::LinkFlap& flap, bool blocked) {
-    const ScenarioConfig& cfg = *config_;
+    const ScenarioConfig& cfg = config_;
     net::Network& net = *env_.net;
     if (flap.link == FaultPlan::LinkFlap::Link::kLte) {
         // The whole LTE uplink (a tunnel: the consist's dead zone).
@@ -254,7 +228,7 @@ void TrainShard::install_state_fetcher(Node& node) {
     // after a restart (the chain app is rebuilt).
     Node* self = &node;
     self->chain_app().set_state_fetcher([this, self](SeqNo seq, const crypto::Digest& state) {
-        const ScenarioConfig& cfg = *config_;
+        const ScenarioConfig& cfg = config_;
         const Height target = seq / cfg.block_size;
         if (self->store().head_height() >= target) {
             const chain::BlockHeader* h = self->store().header(target);
@@ -406,7 +380,7 @@ health::NodeSample TrainShard::snapshot_node(std::size_t i) const {
         if (node.client() != nullptr) s.open_requests = node.client()->pending();
     }
     s.head_height = node.store().head_height();
-    s.stable_height = node.replica().last_stable() / config_->block_size;
+    s.stable_height = node.replica().last_stable() / config_.block_size;
     s.base_height = node.store().base_height();
     s.rx_dropped = node.rx_dropped();
     s.mem_mb = static_cast<double>(node.memory().total_bytes()) / (1024.0 * 1024.0);

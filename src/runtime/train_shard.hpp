@@ -25,8 +25,6 @@
 
 namespace zc::runtime {
 
-struct ScenarioConfig;  // defined in runtime/scenario.hpp
-
 /// The substrate one shard plugs into: the queue everything on the train
 /// schedules on (the fleet's own for a one-train fleet, a peer queue of
 /// it otherwise), the shard's network and the shared provider. Peer
@@ -92,7 +90,7 @@ public:
 
     /// The shard's own config copy (the harness's template with this
     /// train's fault plan, store root and auditor filled in).
-    const ScenarioConfig& config() const noexcept { return *config_; }
+    const ScenarioConfig& config() const noexcept { return config_; }
 
 private:
     struct SourceTap;
@@ -110,7 +108,7 @@ private:
     /// event.
     void apply_flap(const FaultPlan::LinkFlap& flap, bool blocked);
 
-    std::unique_ptr<ScenarioConfig> config_;  ///< shard-local copy
+    ScenarioConfig config_;  ///< shard-local copy; nodes hold references into it
     ShardEnv env_;
     crypto::KeyDirectory directory_;
     /// The nominal device cost table. Nodes named in the plan's

@@ -5,8 +5,24 @@
 
 namespace zc::train {
 
-SignalGenerator::SignalGenerator(GeneratorConfig config, Rng rng)
-    : config_(config), rng_(rng) {}
+namespace {
+
+// Drive dynamics.
+constexpr double kMaxSpeedKmh = 160.0;
+constexpr double kAccelMs2 = 0.7;
+constexpr double kBrakeMs2 = 1.0;
+constexpr Duration kStationDwell = seconds(45);
+constexpr double kInterstationM = 8000.0;
+
+// Rare events (per cycle).
+constexpr double kEmergencyBrakeChance = 0.0005;
+constexpr double kAtpInterventionChance = 0.001;
+constexpr double kHornChance = 0.002;
+
+}  // namespace
+
+SignalGenerator::SignalGenerator(std::size_t payload_size, Rng rng)
+    : payload_size_(payload_size), rng_(rng) {}
 
 void SignalGenerator::step_dynamics(Duration dt) {
     const double dt_s = to_seconds(dt);
@@ -15,23 +31,23 @@ void SignalGenerator::step_dynamics(Duration dt) {
 
     switch (phase_) {
         case Phase::kAccelerating: {
-            speed_kmh_ = std::min(config_.max_speed_kmh, speed_kmh_ + config_.accel_ms2 * 3.6 * dt_s);
-            if (speed_kmh_ >= config_.max_speed_kmh) phase_ = Phase::kCruising;
+            speed_kmh_ = std::min(kMaxSpeedKmh, speed_kmh_ + kAccelMs2 * 3.6 * dt_s);
+            if (speed_kmh_ >= kMaxSpeedKmh) phase_ = Phase::kCruising;
             break;
         }
         case Phase::kCruising: {
             // Begin braking so we stop at the next station.
-            const double remaining = segment_start_m_ + config_.interstation_m - odometer_m_;
-            const double brake_dist = (speed_ms * speed_ms) / (2.0 * config_.brake_ms2);
+            const double remaining = segment_start_m_ + kInterstationM - odometer_m_;
+            const double brake_dist = (speed_ms * speed_ms) / (2.0 * kBrakeMs2);
             if (remaining <= brake_dist) phase_ = Phase::kBraking;
             break;
         }
         case Phase::kBraking: {
-            const double decel = emergency_ != 0 ? 2.5 : config_.brake_ms2;
+            const double decel = emergency_ != 0 ? 2.5 : kBrakeMs2;
             speed_kmh_ = std::max(0.0, speed_kmh_ - decel * 3.6 * dt_s);
             if (speed_kmh_ == 0.0) {
                 phase_ = Phase::kStopped;
-                stop_remaining_ = config_.station_dwell;
+                stop_remaining_ = kStationDwell;
                 doors_ = 0b01;  // platform side released
                 emergency_ = 0;
             }
@@ -49,11 +65,11 @@ void SignalGenerator::step_dynamics(Duration dt) {
     }
 
     // Rare events.
-    if (phase_ != Phase::kStopped && rng_.chance(config_.emergency_brake_chance)) {
+    if (phase_ != Phase::kStopped && rng_.chance(kEmergencyBrakeChance)) {
         emergency_ = 1;
         phase_ = Phase::kBraking;
     }
-    atp_code_ = rng_.chance(config_.atp_intervention_chance) ? rng_.next_range(1, 9) : 0;
+    atp_code_ = rng_.chance(kAtpInterventionChance) ? rng_.next_range(1, 9) : 0;
 }
 
 TelegramContent SignalGenerator::snapshot(std::uint64_t cycle, TimePoint at) {
@@ -70,7 +86,7 @@ TelegramContent SignalGenerator::snapshot(std::uint64_t cycle, TimePoint at) {
         Signal{SignalKind::kAtpIntervention, atp_code_},
         Signal{SignalKind::kTractionCommand,
                phase_ == Phase::kAccelerating ? 800 : (phase_ == Phase::kBraking ? -600 : 0)},
-        Signal{SignalKind::kHorn, rng_.chance(config_.horn_chance) ? 1 : 0},
+        Signal{SignalKind::kHorn, rng_.chance(kHornChance) ? 1 : 0},
         Signal{SignalKind::kCabSignal, phase_ == Phase::kBraking ? 2 : 1},
     };
     return t;
@@ -87,12 +103,12 @@ Bytes SignalGenerator::payload_for_cycle(std::uint64_t cycle, TimePoint at) {
     codec::Writer probe;
     content.encode(probe);
     const std::size_t base = probe.size();
-    if (config_.payload_size > base) {
-        content.opaque = rng_.bytes(config_.payload_size - base);
+    if (payload_size_ > base) {
+        content.opaque = rng_.bytes(payload_size_ - base);
     }
 
     last_ = content;
-    codec::Writer w(config_.payload_size + 16);
+    codec::Writer w(payload_size_ + 16);
     content.encode(w);
     return w.take();
 }

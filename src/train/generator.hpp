@@ -16,27 +16,11 @@
 
 namespace zc::train {
 
-struct GeneratorConfig {
-    /// Target encoded telegram size in bytes; reached by padding the
-    /// opaque channel (0 = no padding).
-    std::size_t payload_size = 1024;
-
-    /// Drive dynamics.
-    double max_speed_kmh = 160.0;
-    double accel_ms2 = 0.7;
-    double brake_ms2 = 1.0;
-    Duration station_dwell{seconds(45)};
-    double interstation_m = 8000.0;
-
-    /// Rare events (per cycle).
-    double emergency_brake_chance = 0.0005;
-    double atp_intervention_chance = 0.001;
-    double horn_chance = 0.002;
-};
-
 class SignalGenerator final : public bus::PayloadSource {
 public:
-    SignalGenerator(GeneratorConfig config, Rng rng);
+    /// Pads each telegram to `payload_size` encoded bytes through the
+    /// opaque channel (0 = no padding).
+    SignalGenerator(std::size_t payload_size, Rng rng);
 
     Bytes payload_for_cycle(std::uint64_t cycle, TimePoint at) override;
 
@@ -51,7 +35,7 @@ private:
     void step_dynamics(Duration dt);
     TelegramContent snapshot(std::uint64_t cycle, TimePoint at);
 
-    GeneratorConfig config_;
+    std::size_t payload_size_;
     Rng rng_;
     Phase phase_ = Phase::kStopped;
     double speed_kmh_ = 0.0;

@@ -10,6 +10,13 @@ std::optional<TelegramContent> JruParser::parse(BytesView raw) {
 
 namespace {
 
+/// Minimum speed delta to log, centi-km/h (100 = 1 km/h).
+constexpr std::int64_t kSpeedDelta = 100;
+/// Minimum odometer delta to log, metres.
+constexpr std::int64_t kOdometerDelta = 10;
+/// Minimum brake pressure delta to log, millibar.
+constexpr std::int64_t kPressureDelta = 100;
+
 /// Floor division (buckets must be monotone across zero, e.g. for the
 /// traction lever).
 std::int64_t floor_div(std::int64_t value, std::int64_t divisor) {
@@ -20,7 +27,7 @@ std::int64_t floor_div(std::int64_t value, std::int64_t divisor) {
 
 }  // namespace
 
-std::int64_t JruParser::quantize(const Signal& s) const {
+std::int64_t JruParser::quantize(const Signal& s) {
     // Analog channels are quantized to absolute buckets so that every node
     // logs at the same value boundaries: a node that missed a cycle
     // realigns with its peers at the next boundary instead of drifting on
@@ -28,11 +35,11 @@ std::int64_t JruParser::quantize(const Signal& s) const {
     // records diverge — and be redundantly ordered — indefinitely).
     switch (s.kind) {
         case SignalKind::kSpeed:
-            return floor_div(s.value, config_.speed_delta);
+            return floor_div(s.value, kSpeedDelta);
         case SignalKind::kOdometer:
-            return floor_div(s.value, config_.odometer_delta);
+            return floor_div(s.value, kOdometerDelta);
         case SignalKind::kBrakePressure:
-            return floor_div(s.value, config_.pressure_delta);
+            return floor_div(s.value, kPressureDelta);
         // Discrete safety signals: the raw value is the bucket.
         case SignalKind::kEmergencyBrake:
         case SignalKind::kDoorState:

@@ -24,19 +24,8 @@
 
 namespace zc::train {
 
-struct FilterConfig {
-    /// Minimum speed delta to log, centi-km/h (100 = 1 km/h).
-    std::int64_t speed_delta = 100;
-    /// Minimum odometer delta to log, metres.
-    std::int64_t odometer_delta = 10;
-    /// Minimum brake pressure delta to log, millibar.
-    std::int64_t pressure_delta = 100;
-};
-
 class JruParser {
 public:
-    explicit JruParser(FilterConfig config = {}) : config_(config) {}
-
     /// Parses a raw telegram payload. Returns nullopt for malformed input
     /// (a corrupted frame that does not decode is unusable and counts as a
     /// lost cycle, like a failed bus CRC).
@@ -53,9 +42,8 @@ public:
 
 private:
     bool relevant(const Signal& now) const;
-    std::int64_t quantize(const Signal& s) const;
+    static std::int64_t quantize(const Signal& s);
 
-    FilterConfig config_;
     /// Last logged quantized value per signal (absolute buckets for analog
     /// channels, raw values for discrete ones).
     std::map<SignalKind, std::int64_t> last_logged_;

@@ -196,7 +196,7 @@ void CommunicationLayer::mark_logged(const crypto::Digest& payload_digest) {
 void CommunicationLayer::remember_logged(const crypto::Digest& digest) {
     logged_.insert(digest);
     logged_order_.push_back(digest);
-    while (logged_order_.size() > config_.dedup_window) {
+    while (logged_order_.size() > kDedupWindow) {
         logged_.erase(logged_order_.front());
         logged_order_.pop_front();
     }
@@ -267,7 +267,9 @@ void CommunicationLayer::new_primary(View, NodeId primary) {
 void CommunicationLayer::stable_checkpoint(SeqNo, const pbft::CheckpointProof&) {}
 
 void CommunicationLayer::preprepared(const pbft::Request& request) {
-    if (!config_.cancel_soft_on_preprepare || request.is_null()) return;
+    // The paper's optimization: the primary's preprepare indicates the
+    // request will be ordered, so the soft timer is cancelled.
+    if (request.is_null()) return;
     const auto it = open_.find(request.payload_digest());
     if (it == open_.end()) return;
     if (it->second.soft_timer != sim::kInvalidEvent) {

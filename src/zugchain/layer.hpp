@@ -72,6 +72,11 @@ public:
                      NodeId origin, SeqNo seq) = 0;
 };
 
+/// Payload-dedup sliding window, in decided requests (the paper checks
+/// "a sliding window of past checkpoints"; with block size 10 this is
+/// window_checkpoints * 10 requests).
+inline constexpr std::size_t kDedupWindow = 512;
+
 struct LayerConfig {
     NodeId id = 0;
 
@@ -90,14 +95,6 @@ struct LayerConfig {
     /// origin node; "calculated based on the bus frequency" (§III-C).
     std::size_t max_open_per_origin = 32;
 
-    /// Payload-dedup sliding window, in decided requests (the paper checks
-    /// "a sliding window of past checkpoints"; with block size 10 this is
-    /// window_checkpoints * 10 requests).
-    std::size_t dedup_window = 512;
-
-    /// The paper's optimization: treat the primary's preprepare as an
-    /// indication the request will be ordered and cancel the soft timer.
-    bool cancel_soft_on_preprepare = true;
 };
 
 struct LayerStats {

@@ -16,11 +16,13 @@ namespace {
 namespace ws = wire_samples;
 
 /// A framed encoding and its decoder's verdict: nullopt when rejected,
-/// else whether the decoded value equals the sample.
+/// else whether the decoded value equals the sample, or (`reencode`) the
+/// decoded value encoded again in the same framing.
 struct Case {
     std::string name;
     Bytes wire;
     std::function<std::optional<bool>(BytesView)> decode;
+    std::function<std::optional<Bytes>(BytesView)> reencode;
 };
 
 template <class T>
@@ -32,31 +34,35 @@ bool same(const T& a, const T& b) {
     }
 }
 
-template <class T, class Decode>
-Case make_case(std::string name, T sample, Bytes wire, Decode decode) {
+template <class T, class Encode, class Decode>
+Case make_case(std::string name, T sample, Encode encode, Decode decode) {
+    Bytes wire = encode(sample);
     return {std::move(name), std::move(wire),
             [sample = std::move(sample), decode](BytesView b) -> std::optional<bool> {
                 const auto m = decode(b);
                 if (!m) return std::nullopt;
                 return same<T>(*m, sample);
+            },
+            [encode, decode](BytesView b) -> std::optional<Bytes> {
+                const auto m = decode(b);
+                if (!m) return std::nullopt;
+                return encode(*m);
             }};
 }
 
 Case pbft_case(std::string name, pbft::Message m) {
-    Bytes wire = pbft::encode_message(m);
-    return make_case(std::move(name), std::move(m), std::move(wire), pbft::decode_message);
+    return make_case(std::move(name), std::move(m), pbft::encode_message, pbft::decode_message);
 }
 
 Case export_case(std::string name, exporter::ExportMessage m) {
-    Bytes wire = exporter::encode_export_message(m);
-    return make_case(std::move(name), std::move(m), std::move(wire),
+    return make_case(std::move(name), std::move(m), exporter::encode_export_message,
                      exporter::decode_export_message);
 }
 
 template <class T>
 Case container_case(std::string name, T m) {
-    Bytes wire = codec::encode_to_bytes(m);
-    return make_case(std::move(name), std::move(m), std::move(wire),
+    return make_case(std::move(name), std::move(m),
+                     [](const T& v) { return codec::encode_to_bytes(v); },
                      [](BytesView b) { return codec::try_decode<T>(b); });
 }
 
@@ -88,10 +94,9 @@ std::vector<Case> cases() {
         container_case("PruneAnchor", ws::prune_anchor()),
         container_case("TelegramContent", ws::telegram_content()),
         container_case("LogRecord", ws::log_record()),
-        make_case("PeerRequest", ws::peer_request(), zugchain::encode_peer_request(ws::peer_request()),
+        make_case("PeerRequest", ws::peer_request(), zugchain::encode_peer_request,
                   zugchain::decode_peer_request),
-        make_case("DeleteEvidence", ws::delete_evidence(),
-                  exporter::encode_delete_evidence(ws::delete_evidence()),
+        make_case("DeleteEvidence", ws::delete_evidence(), exporter::encode_delete_evidence,
                   exporter::decode_delete_evidence),
     };
 }
@@ -108,6 +113,32 @@ TEST(WireProperty, EveryTruncationAndATrailingByteIsRejected) {
         Bytes longer = c.wire;
         longer.push_back(0);
         EXPECT_EQ(c.decode(longer), std::nullopt) << c.name << " trailing byte";
+    }
+}
+
+TEST(WireProperty, EveryDecodableByteMutationReencodesToItself) {
+    // A decoder that accepts two encodings of one value lets a relay
+    // rewrite bytes under a valid signature (verification re-encodes the
+    // decoded value). Every single-byte substitution that still decodes
+    // must therefore be the canonical encoding of what it decodes to.
+    for (const Case& c : cases()) {
+        std::size_t mismatches = 0;
+        for (std::size_t i = 0; i < c.wire.size(); ++i) {
+            const std::uint8_t was = c.wire[i];
+            for (const std::uint8_t v : {std::uint8_t{0x00}, std::uint8_t{0x01}, std::uint8_t{0x02},
+                                         std::uint8_t{0x7f}, std::uint8_t{0x80}, std::uint8_t{0xff},
+                                         static_cast<std::uint8_t>(was ^ 1)}) {
+                Bytes mutated = c.wire;
+                mutated[i] = v;
+                const auto again = c.reencode(mutated);
+                if (!again || *again == mutated) continue;
+                if (++mismatches == 1) {
+                    ADD_FAILURE() << c.name << ": byte " << i << " set to " << int{v}
+                                  << " decodes but re-encodes to other bytes";
+                }
+            }
+        }
+        EXPECT_EQ(mismatches, 0u) << c.name;
     }
 }
 

@@ -65,13 +65,13 @@ TEST(Journey, PlanStructureInvariants) {
             switch (seg.kind) {
                 case SegmentKind::kStation:
                     stations++;
-                    EXPECT_GE(seg.duration, jc.dwell_min);
-                    EXPECT_LE(seg.duration, jc.dwell_max);
+                    EXPECT_GE(seg.duration, kDwellMin);
+                    EXPECT_LE(seg.duration, kDwellMax);
                     break;
                 case SegmentKind::kTunnel:
                     tunnels++;
-                    EXPECT_GE(seg.duration, jc.tunnel_min);
-                    EXPECT_LE(seg.duration, jc.tunnel_max);
+                    EXPECT_GE(seg.duration, kTunnelMin);
+                    EXPECT_LE(seg.duration, kTunnelMax);
                     break;
                 case SegmentKind::kDepot: depots++; break;
                 case SegmentKind::kCruise: break;
@@ -84,8 +84,8 @@ TEST(Journey, PlanStructureInvariants) {
 
         for (const auto& [node, factor] : tp.cpu_profiles) {
             EXPECT_LT(node, jc.nodes);
-            EXPECT_GE(factor, jc.degraded_min);
-            EXPECT_LE(factor, jc.degraded_max);
+            EXPECT_GE(factor, kDegradedMin);
+            EXPECT_LE(factor, kDegradedMax);
         }
     }
 }
@@ -97,14 +97,6 @@ TEST(Journey, RejectsNonsenseConfig) {
 
     jc = small_config();
     jc.service_length = jc.day_length + seconds(1);
-    EXPECT_THROW(generate(jc), std::invalid_argument);
-
-    jc = small_config();
-    jc.leg_min = jc.leg_max + seconds(1);
-    EXPECT_THROW(generate(jc), std::invalid_argument);
-
-    jc = small_config();
-    jc.tunnel_prob = 1.5;
     EXPECT_THROW(generate(jc), std::invalid_argument);
 }
 

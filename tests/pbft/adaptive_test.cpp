@@ -8,9 +8,6 @@ namespace {
 AdaptiveTimeoutConfig enabled_cfg() {
     AdaptiveTimeoutConfig cfg;
     cfg.enabled = true;
-    cfg.floor = milliseconds(100);
-    cfg.cap = seconds(60);
-    cfg.rtt_factor = 4;
     return cfg;
 }
 
@@ -55,17 +52,17 @@ TEST(AdaptiveTimeout, TracksRisingRttsAndStaysAboveThem) {
 }
 
 TEST(AdaptiveTimeout, BackoffDoublesAndCaps) {
-    AdaptiveTimeoutConfig cfg = enabled_cfg();
-    cfg.cap = seconds(2);
-    AdaptiveTimeout t(cfg, milliseconds(250));
+    AdaptiveTimeout t(enabled_cfg(), milliseconds(250));
     t.observe(milliseconds(100));
-    const Duration base = t.base();
+    const Duration base = t.base();  // (100 + 4 * 50) ms * 4 = 1.2 s
+    EXPECT_EQ(base, milliseconds(1200));
     EXPECT_EQ(t.with_backoff(0), base);
-    EXPECT_EQ(t.with_backoff(1), std::min(Duration{base * 2}, cfg.cap));
-    // Large attempt counts clamp at the cap (exponent capped at 6, value
-    // capped at cfg.cap).
-    EXPECT_EQ(t.with_backoff(6), cfg.cap);
-    EXPECT_EQ(t.with_backoff(60), cfg.cap);
+    EXPECT_EQ(t.with_backoff(1), base * 2);
+    // Large attempt counts clamp at the cap (exponent capped at 6, and
+    // 1.2 s * 64 exceeds kAdaptiveCap).
+    EXPECT_EQ(t.with_backoff(5), base * 32);
+    EXPECT_EQ(t.with_backoff(6), kAdaptiveCap);
+    EXPECT_EQ(t.with_backoff(60), kAdaptiveCap);
 }
 
 TEST(AdaptiveTimeout, VarianceWidensTheBudget) {

@@ -114,12 +114,11 @@ TEST(BatchFlush, LingerTimerFlushesPartialBatch) {
 }
 
 TEST(BatchFlush, ByteCutoffOverridesRequestCount) {
-    ReplicaConfig cfg = batching(100, milliseconds(100));
-    cfg.max_batch_bytes = 256;  // two ~180-byte requests trip it
-    Cluster c(4, cfg);
-    c.replica(0).propose(c.make_request(0, 1, Bytes(100, 0xaa)));
+    Cluster c(4, batching(100, milliseconds(100)));
+    const std::size_t half = kMaxBatchBytes / 2;  // two such requests trip the cutoff
+    c.replica(0).propose(c.make_request(0, 1, Bytes(half, 0xaa)));
     EXPECT_EQ(c.replica(0).open_batch_size(), 1u);
-    c.replica(0).propose(c.make_request(0, 2, Bytes(100, 0xbb)));
+    c.replica(0).propose(c.make_request(0, 2, Bytes(half, 0xbb)));
     EXPECT_EQ(c.replica(0).open_batch_size(), 0u);  // flushed on bytes
     c.sim.run();
     EXPECT_EQ(c.replica(0).stats().batches_proposed, 1u);

@@ -175,17 +175,18 @@ TEST(PbftCheckpoint, ByzantineDigestCannotStabilizeAlone) {
 TEST(PbftCheckpoint, ProofRetentionBounded) {
     ReplicaConfig cfg;
     cfg.checkpoint_interval = 2;
-    cfg.proof_retention = 3;
     Cluster c(4, cfg);
-    for (int i = 0; i < 20; ++i) {
-        c.replica(0).propose(c.make_request(0, static_cast<std::uint64_t>(i), to_bytes("x")));
+    const SeqNo last = 2 * (kProofRetention + 3);
+    for (SeqNo i = 0; i < last; ++i) {
+        c.replica(0).propose(c.make_request(0, i, to_bytes("x")));
     }
     c.sim.run();
-    EXPECT_EQ(c.replica(1).last_stable(), 20u);
-    // Old proofs evicted; only the most recent `proof_retention` remain.
+    EXPECT_EQ(c.replica(1).last_stable(), last);
+    // Old proofs evicted; only the most recent kProofRetention remain.
     EXPECT_EQ(c.replica(1).stable_proof(2), nullptr);
-    EXPECT_NE(c.replica(1).stable_proof(20), nullptr);
-    EXPECT_NE(c.replica(1).stable_proof(16), nullptr);
+    EXPECT_EQ(c.replica(1).stable_proof(last - 2 * kProofRetention), nullptr);
+    EXPECT_NE(c.replica(1).stable_proof(last - 2 * (kProofRetention - 1)), nullptr);
+    EXPECT_NE(c.replica(1).stable_proof(last), nullptr);
 }
 
 TEST(PbftCheckpoint, StableProofQueryableBySeq) {

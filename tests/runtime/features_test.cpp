@@ -147,8 +147,8 @@ TEST(Persistence, NodesRecoverChainsFromDisk) {
         cfg.duration = seconds(15);
         Scenario s(cfg);
         // Persist node 2's chain (simulating its flash storage).
-        // Store directories are per-node in NodeOptions; here we copy the
-        // in-memory chain to disk through a persistent store.
+        // Store directories are per node (store_root/node-<id>); here we
+        // copy the in-memory chain to disk through a persistent store.
         s.run();
         chain::BlockStore persistent(nullptr, dir);
         auto& src = s.node(2).store();

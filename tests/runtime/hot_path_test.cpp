@@ -74,7 +74,7 @@ TEST(Envelope, DecodeMatchesReferenceOnTable) {
     EXPECT_FALSE(decode_envelope(t[0].second));  // channel 0
     for (int c = 1; c <= 3; ++c) EXPECT_TRUE(decode_envelope(t[c].second)) << c;
     EXPECT_FALSE(decode_envelope(t[4].second));  // channel 4
-    EXPECT_TRUE(decode_envelope(non_minimal));
+    EXPECT_FALSE(decode_envelope(non_minimal));  // only the shortest varint is canonical
     EXPECT_FALSE(decode_envelope(trailing));
 }
 
@@ -133,7 +133,8 @@ TEST(Broadcast, EveryPeerReceivesIdenticalBytes) {
         directory.register_key(i, keys.back().pub);
     }
     const metrics::CostModel costs;
-    Node node(NodeOptions{}, sim, network, provider, directory, keys[0], costs);
+    const ScenarioConfig config;
+    Node node(config, 0, sim, network, provider, directory, keys[0], costs);
     network.attach(0, &node);
     Recorder peers[3];
     for (NodeId i = 1; i < 4; ++i) network.attach(i, &peers[i - 1]);

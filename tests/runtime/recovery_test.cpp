@@ -119,8 +119,6 @@ TEST_F(RecoveryTest, ExportCompletesAcrossLteOutageWithRetries) {
     cfg.duration = seconds(30);
     cfg.dc_count = 1;
     cfg.export_timeout = seconds(5);
-    cfg.export_retry_backoff = seconds(1);
-    cfg.export_retry_backoff_max = seconds(4);
     // The uplink dies just before the export starts and stays dark for
     // 15 s: every read round inside the outage times out.
     ScenarioConfig::LinkFlap flap;

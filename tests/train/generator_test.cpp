@@ -5,16 +5,10 @@
 namespace zc::train {
 namespace {
 
-GeneratorConfig small_config() {
-    GeneratorConfig c;
-    c.payload_size = 256;
-    c.station_dwell = seconds(10);
-    c.interstation_m = 2000.0;
-    return c;
-}
+constexpr std::size_t kPayload = 256;
 
 TEST(SignalGenerator, ProducesDecodablePayloadOfRequestedSize) {
-    SignalGenerator gen(small_config(), Rng(1));
+    SignalGenerator gen(kPayload, Rng(1));
     const Bytes payload = gen.payload_for_cycle(0, TimePoint{0});
     EXPECT_NEAR(static_cast<double>(payload.size()), 256.0, 8.0);
     const auto content = codec::try_decode<TelegramContent>(payload);
@@ -24,7 +18,7 @@ TEST(SignalGenerator, ProducesDecodablePayloadOfRequestedSize) {
 }
 
 TEST(SignalGenerator, CycleAndTimestampAdvance) {
-    SignalGenerator gen(small_config(), Rng(2));
+    SignalGenerator gen(kPayload, Rng(2));
     const Bytes p0 = gen.payload_for_cycle(0, milliseconds(0));
     const Bytes p1 = gen.payload_for_cycle(1, milliseconds(64));
     const auto c0 = codec::try_decode<TelegramContent>(p0);
@@ -35,7 +29,7 @@ TEST(SignalGenerator, CycleAndTimestampAdvance) {
 }
 
 TEST(SignalGenerator, TrainEventuallyMoves) {
-    SignalGenerator gen(small_config(), Rng(3));
+    SignalGenerator gen(kPayload, Rng(3));
     TimePoint t{0};
     for (int i = 0; i < 1000; ++i) {
         gen.payload_for_cycle(static_cast<std::uint64_t>(i), t);
@@ -45,20 +39,18 @@ TEST(SignalGenerator, TrainEventuallyMoves) {
 }
 
 TEST(SignalGenerator, SpeedStaysWithinLimits) {
-    GeneratorConfig cfg = small_config();
-    cfg.max_speed_kmh = 120.0;
-    SignalGenerator gen(cfg, Rng(4));
+    SignalGenerator gen(kPayload, Rng(4));
     TimePoint t{0};
     for (int i = 0; i < 20000; ++i) {
         gen.payload_for_cycle(static_cast<std::uint64_t>(i), t);
         t += milliseconds(64);
         EXPECT_GE(gen.speed_kmh(), 0.0);
-        EXPECT_LE(gen.speed_kmh(), 120.0 + 1e-9);
+        EXPECT_LE(gen.speed_kmh(), 160.0 + 1e-9);
     }
 }
 
 TEST(SignalGenerator, OdometerMonotonic) {
-    SignalGenerator gen(small_config(), Rng(5));
+    SignalGenerator gen(kPayload, Rng(5));
     TimePoint t{0};
     std::int64_t last_odo = -1;
     for (int i = 0; i < 5000; ++i) {
@@ -76,8 +68,9 @@ TEST(SignalGenerator, OdometerMonotonic) {
 }
 
 TEST(SignalGenerator, DoorsOnlyOpenWhenStopped) {
-    SignalGenerator gen(small_config(), Rng(6));
+    SignalGenerator gen(kPayload, Rng(6));
     TimePoint t{0};
+    bool opened = false;  // 20,000 cycles reach several station stops
     for (int i = 0; i < 20000; ++i) {
         gen.payload_for_cycle(static_cast<std::uint64_t>(i), t);
         t += milliseconds(64);
@@ -87,14 +80,16 @@ TEST(SignalGenerator, DoorsOnlyOpenWhenStopped) {
             if (s.kind == SignalKind::kSpeed) speed = s.value;
         }
         if (doors != 0) {
+            opened = true;
             EXPECT_EQ(speed, 0) << "doors open while moving at cycle " << i;
         }
     }
+    EXPECT_TRUE(opened);
 }
 
 TEST(SignalGenerator, DeterministicForSameSeed) {
-    SignalGenerator a(small_config(), Rng(7));
-    SignalGenerator b(small_config(), Rng(7));
+    SignalGenerator a(kPayload, Rng(7));
+    SignalGenerator b(kPayload, Rng(7));
     TimePoint t{0};
     for (int i = 0; i < 200; ++i) {
         EXPECT_EQ(a.payload_for_cycle(static_cast<std::uint64_t>(i), t),
@@ -104,9 +99,7 @@ TEST(SignalGenerator, DeterministicForSameSeed) {
 }
 
 TEST(SignalGenerator, UnpaddedWhenTargetSmall) {
-    GeneratorConfig cfg = small_config();
-    cfg.payload_size = 0;
-    SignalGenerator gen(cfg, Rng(8));
+    SignalGenerator gen(0, Rng(8));
     const Bytes payload = gen.payload_for_cycle(0, TimePoint{0});
     const auto content = codec::try_decode<TelegramContent>(payload);
     ASSERT_TRUE(content.has_value());

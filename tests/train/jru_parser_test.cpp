@@ -24,9 +24,7 @@ TEST(JruParser, ParseRejectsGarbage) {
 }
 
 TEST(JruParser, ParseRoundTripsGeneratorOutput) {
-    GeneratorConfig cfg;
-    cfg.payload_size = 512;
-    SignalGenerator gen(cfg, Rng(1));
+    SignalGenerator gen(512, Rng(1));
     const Bytes raw = gen.payload_for_cycle(3, milliseconds(192));
     const auto parsed = JruParser::parse(raw);
     ASSERT_TRUE(parsed.has_value());

@@ -192,8 +192,9 @@ TEST(TrimProbe, AcceptsExpectedPayloads) {
     EXPECT_EQ(parsed("height " + std::to_string(Height{1} << 40)), Height{1} << 40);
     EXPECT_EQ(parsed("height " + std::to_string(std::numeric_limits<Height>::max())),
               std::numeric_limits<Height>::max());
-    EXPECT_EQ(parsed("2-byte length prefix"), Height{7});
-    EXPECT_EQ(parsed("10-byte length prefix"), Height{7});
+    // Non-minimal length varints are not canonical, so not trim requests.
+    EXPECT_EQ(parsed("2-byte length prefix"), std::nullopt);
+    EXPECT_EQ(parsed("10-byte length prefix"), std::nullopt);
     EXPECT_EQ(parsed("11-byte length prefix"), std::nullopt);
     EXPECT_EQ(parsed("LogRecord"), std::nullopt);
     EXPECT_EQ(parsed("17 bytes, not a trim request"), std::nullopt);

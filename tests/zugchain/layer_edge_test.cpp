@@ -92,19 +92,6 @@ struct EdgeFixture : ::testing::Test {
     MockSink sink;
 };
 
-TEST_F(EdgeFixture, PrepreparedOptimizationCanBeDisabled) {
-    LayerConfig cfg;
-    cfg.soft_timeout = milliseconds(100);
-    cfg.cancel_soft_on_preprepare = false;
-    auto layer = make_layer(cfg);
-
-    receive(*layer, "cycle", 1);
-    layer->preprepared(peer_request(0, to_bytes("cycle")));  // ignored by config
-    sim.run_until(milliseconds(150));
-    EXPECT_EQ(layer->stats().soft_timeouts, 1u);
-    EXPECT_EQ(transport.broadcasts.size(), 1u);
-}
-
 TEST_F(EdgeFixture, HardTimerSurvivesPrepreparedOptimization) {
     // The preprepare indication cancels only the *soft* timer; a hard
     // timer armed by a peer broadcast keeps running until DECIDE.

@@ -273,20 +273,17 @@ TEST_F(LayerFixture, DivergentInputsAllLogged) {
 }
 
 TEST_F(LayerFixture, DedupWindowEvictsOldDigests) {
-    LayerConfig cfg;
-    cfg.id = kSelf;
-    cfg.dedup_window = 4;
-    CommunicationLayer small(cfg, sim, *crypto, transport, sink);
-    small.attach_consensus(consensus);
-
     const crypto::Digest first = crypto::sha256(to_bytes("payload-0"));
-    for (int i = 0; i < 5; ++i) {
-        small.deliver(peer_request(0, to_bytes("payload-" + std::to_string(i)),
-                                   static_cast<std::uint64_t>(i)),
-                      static_cast<SeqNo>(i + 1));
+    const auto payload = [](std::size_t i) { return to_bytes("payload-" + std::to_string(i)); };
+    for (std::size_t i = 0; i <= kDedupWindow; ++i) {
+        layer->deliver(peer_request(0, payload(i), i), static_cast<SeqNo>(i + 1));
+        if (i + 1 == kDedupWindow) {
+            EXPECT_TRUE(layer->in_log(first));  // window full
+        }
     }
-    EXPECT_FALSE(small.in_log(first));  // evicted
-    EXPECT_TRUE(small.in_log(crypto::sha256(to_bytes("payload-4"))));
+    EXPECT_FALSE(layer->in_log(first));  // evicted
+    EXPECT_TRUE(layer->in_log(crypto::sha256(payload(1))));
+    EXPECT_TRUE(layer->in_log(crypto::sha256(payload(kDedupWindow))));
 }
 
 TEST_F(LayerFixture, MultipleSourcesAreIndependentQueues) {

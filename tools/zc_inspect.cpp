@@ -129,16 +129,6 @@ void list_events(const chain::BlockStore& store) {
     }
 }
 
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '"' || c == '\\') out += '\\';
-        out += c;
-    }
-    return out;
-}
-
 /// What a stored chain alone reveals about how recording went, computed
 /// once and rendered as either the human table or the --json report.
 struct HealthReadout {
@@ -267,7 +257,7 @@ std::string health_json(const HealthReadout& readout) {
         if (i > 0) out += ',';
         out += "{\"kind\":\"";
         out += health::alarm_kind_name(readout.alarms[i].kind);
-        out += "\",\"detail\":\"" + json_escape(readout.alarms[i].detail) + "\"}";
+        out += "\",\"detail\":\"" + health::json_escape(readout.alarms[i].detail) + "\"}";
     }
     out += "]}";
     return out;
@@ -317,13 +307,13 @@ int inspect_fleet_root(const std::string& root, bool verify, bool repair, bool j
 
     int rc = 0;
     std::size_t stores = 0, clean_stores = 0;
-    std::string jout = "{\"root\":\"" + json_escape(root) + "\",\"trains\":[";
+    std::string jout = "{\"root\":\"" + health::json_escape(root) + "\",\"trains\":[";
     bool first_train = true;
     for (const auto& [train, nodes] : trains) {
         const std::string train_label = train.empty() ? "(root)" : train;
         if (!first_train) jout += ',';
         first_train = false;
-        jout += "{\"train\":\"" + json_escape(train_label) + "\",\"nodes\":[";
+        jout += "{\"train\":\"" + health::json_escape(train_label) + "\",\"nodes\":[";
         bool train_clean = true;
         bool first_node = true;
         std::vector<chain::BlockStore> loaded;
@@ -400,8 +390,8 @@ int inspect_fleet_root(const std::string& root, bool verify, bool repair, bool j
             const std::string& b = loaded_names[fork.b];
             if (json) {
                 jout += std::string(first_fork ? "" : ",") + "{\"height\":" +
-                        std::to_string(height) + ",\"a\":\"" + json_escape(a) + "\",\"b\":\"" +
-                        json_escape(b) + "\"}";
+                        std::to_string(height) + ",\"a\":\"" + health::json_escape(a) + "\",\"b\":\"" +
+                        health::json_escape(b) + "\"}";
             } else {
                 std::printf("%-10s %-8s   fork at height %llu: %s vs %s\n", train_label.c_str(),
                             "--", height, a.c_str(), b.c_str());
@@ -511,7 +501,7 @@ int main(int argc, char** argv) {
                       "\"stored_bytes\":%llu,\"valid\":%s,\"clean\":%s,"
                       "\"unrepairable\":%s,\"blocks_loaded\":%llu,\"blocks_discarded\":%llu,"
                       "\"head_hash\":\"%s\"",
-                      json_escape(dir).c_str(),
+                      health::json_escape(dir).c_str(),
                       static_cast<unsigned long long>(store.base_height()),
                       static_cast<unsigned long long>(store.head_height()), store.size(),
                       static_cast<unsigned long long>(store.stored_bytes()),
